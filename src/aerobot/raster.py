@@ -6,6 +6,7 @@ and channel-interleaved. All vision pipelines ingest and emit this type.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,8 @@ class Histogram:
 
 _MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 _MAGIC_ASCII = {b"P2", b"P3"}
+_COMMENT = re.compile(rb"#[^\n\r]*")
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"  # bytes.isspace() whitespace
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -113,11 +116,11 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """Next header token as an int; only plain decimal digits are accepted."""
     tok, pos = _next_token(data, pos)
-    try:
-        return int(tok), pos
-    except ValueError:
-        raise TruncatedData(f"bad {what} token {tok!r}") from None
+    if not tok.isdigit():
+        raise TruncatedData(f"bad {what} token {tok!r}")
+    return int(tok), pos
 
 
 def parse_pnm(data: bytes) -> Image:
@@ -137,22 +140,27 @@ def parse_pnm(data: bytes) -> Image:
 
     count = width * height * channels
     if magic in _MAGIC_ASCII:
-        values = []
-        for _ in range(count):
-            v, pos = _int_token(data, pos, "sample")
-            if not 0 <= v <= maxval:
-                raise TruncatedData(f"sample {v} outside 0..{maxval}")
-            values.append(v)
-        samples = bytes(values)
+        # only digits and whitespace may remain once comments are dropped, so
+        # signs, underscores and partial tokens such as 12abc are rejected
+        body = _COMMENT.sub(b" ", data[pos:])
+        if body.translate(None, _DIGITS_AND_SPACE):
+            raise TruncatedData("raster holds a byte that is neither a digit nor whitespace")
+        if body.isspace():  # fromstring would read whitespace-only text as [0]
+            body = b""
+        # overlong tokens saturate at the int64 maximum and fail the maxval
+        # check; values after the first count are ignored
+        values = np.fromstring(body, np.int64, sep=" ")[:count]
     else:
         # exactly one whitespace byte separates the header from the raster
         if pos >= len(data) or not data[pos:pos + 1].isspace():
             raise TruncatedData("missing raster separator")
-        pos += 1
-        samples = data[pos:pos + count]
-        if len(samples) != count:
-            raise TruncatedData(f"raster has {len(samples)} of {count} bytes")
-    return Image(width, height, channels, samples)
+        values = np.frombuffer(data, np.uint8, offset=pos + 1)[:count]
+    if len(values) < count:
+        raise TruncatedData(f"raster has {len(values)} of {count} samples")
+    top = int(values.max())
+    if top > maxval:
+        raise TruncatedData(f"sample {top} outside 0..{maxval}")
+    return Image(width, height, channels, values.astype(np.uint8, copy=False).tobytes())
 
 
 def write_pnm(img: Image, ascii: bool = False) -> bytes:

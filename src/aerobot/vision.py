@@ -171,14 +171,17 @@ def mexican_hat_kernel(sigma: float, radius: int | None = None) -> ResponseMap:
 
 
 def _reflect_convolve(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """2-D convolution with edge-repeating reflect padding."""
+    """2-D convolution with edge-repeating reflect padding, by FFT.
+
+    The padded input is (h + kh - 1, w + kw - 1), so a circular convolution
+    of that size wraps only into the rows and columns that are cut away.
+    """
     kh, kw = kernel.shape
     ry, rx = kh // 2, kw // 2
-    padded = np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw))
-    # convolution flips the kernel; symmetric kernels are unaffected
-    flipped = kernel[::-1, ::-1]
-    return np.einsum("ijkl,kl->ij", windows, flipped)
+    shape = (arr.shape[0] + kh - 1, arr.shape[1] + kw - 1)
+    spectrum = np.fft.rfft2(np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric"))
+    spectrum *= np.fft.rfft2(kernel, s=shape)
+    return np.fft.irfft2(spectrum, s=shape)[kh - 1:, kw - 1:]
 
 
 def wavelet_response(img: Image, sigma: float, radius: int | None = None) -> ResponseMap:
@@ -229,6 +232,10 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     return [h for h, _ in ranked]
 
 
+# largest number of circle votes cast in one bincount; bounds the temporaries
+_VOTE_CHUNK = 1 << 18
+
+
 def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
                   angle_step: float = 1.0) -> list[CircleHit]:
     """Circle hits via a (cx, cy, r) accumulator.
@@ -251,17 +258,29 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     hits = []
     for r in range(r_min, r_max + 1):
-        acc = np.zeros((h, w), dtype=np.int64)
-        dx = np.rint(r * cos_a).astype(np.int64)
+        # votes go to a grid padded by py rows and px columns on each side, so
+        # none needs a bounds check; an offset longer than a whole image side
+        # never reaches a center cell and is dropped
+        py, px = min(r, h - 1), min(r, w - 1)
+        gw = w + 2 * px
         dy = np.rint(r * sin_a).astype(np.int64)
-        for x, y in zip(xs, ys):
-            cx = x - dx
-            cy = y - dy
-            ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-            cells = np.unique(cy[ok] * w + cx[ok])  # one vote per pixel per cell
-            acc.reshape(-1)[cells] += 1
-        for cy_i, cx_i in zip(*np.nonzero(acc >= threshold)):
-            hits.append(CircleHit(int(cx_i), int(cy_i), r, int(acc[cy_i, cx_i])))
+        dx = np.rint(r * cos_a).astype(np.int64)
+        keep = (np.abs(dy) <= py) & (np.abs(dx) <= px)
+        # a pixel reaches each center cell through exactly one offset, so one
+        # vote per distinct offset is one vote per pixel per cell
+        shifts = np.unique(dy[keep] * gw + dx[keep])
+        if len(shifts) == 0:
+            continue
+        cells = (ys + py) * gw + (xs + px)
+        acc = np.zeros((h + 2 * py) * gw, dtype=np.int64)
+        step = max(1, _VOTE_CHUNK // len(shifts))
+        for lo in range(0, len(cells), step):
+            acc += np.bincount((cells[lo:lo + step, None] - shifts).ravel(), minlength=len(acc))
+        acc = acc.reshape(h + 2 * py, gw)[py:py + h, px:px + w]
+        cys, cxs = np.nonzero(acc >= threshold)
+        votes = acc[cys, cxs]
+        hits += [CircleHit(x, y, r, v)
+                 for x, y, v in zip(cxs.tolist(), cys.tolist(), votes.tolist())]
     hits.sort(key=lambda c: (-c.votes, c.cx, c.cy, c.radius))
     return hits
 
@@ -310,41 +329,6 @@ def gabor_bank(img: Image, params: list[GaborParams]) -> list[ResponseMap]:
     return maps
 
 
-def _jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Adequate for patch-sized covariance matrices; returns (eigenvalues,
-    eigenvectors as columns) in descending eigenvalue order.
-    """
-    a = matrix.astype(np.float64).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale / (n * n):
-                    continue
-                # rotation angle zeroing a[p, q]
-                theta = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    order = np.argsort(np.diag(a))[::-1]
-    return np.diag(a)[order], v[:, order]
-
-
 def pca_project(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k principal components of row vectors and the projected rows.
 
@@ -362,8 +346,8 @@ def pca_project(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     cov = centered.T @ centered / (n - 1)
     if not cov.any():
         raise ZeroVariance("all vectors are identical")
-    _, eigvecs = _jacobi_eigh(cov)
-    components = eigvecs[:, :k].T.copy()
+    _, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    components = eigvecs[:, ::-1][:, :k].T.copy()
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0

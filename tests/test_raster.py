@@ -15,6 +15,66 @@ def gray(arr) -> Image:
     return Image.from_array(np.asarray(arr, dtype=np.uint8))
 
 
+def _oracle_next_token(data, pos):
+    n = len(data)
+    while pos < n:
+        c = data[pos:pos + 1]
+        if c == b"#":
+            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise TruncatedData("header ended early")
+    start = pos
+    while pos < n and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
+        pos += 1
+    return data[start:pos], pos
+
+
+def _oracle_int_token(data, pos):
+    tok, pos = _oracle_next_token(data, pos)
+    try:
+        return int(tok), pos
+    except ValueError:
+        raise TruncatedData(f"bad token {tok!r}") from None
+
+
+def parse_ascii_oracle(data: bytes) -> Image:
+    """The earlier per-token P2/P3 decoder: one int() per header field and sample."""
+    channels = {b"P2": 1, b"P3": 3}[data[:2]]
+    width, pos = _oracle_int_token(data, 2)
+    height, pos = _oracle_int_token(data, pos)
+    maxval, pos = _oracle_int_token(data, pos)
+    values = []
+    for _ in range(width * height * channels):
+        v, pos = _oracle_int_token(data, pos)
+        if not 0 <= v <= maxval:
+            raise TruncatedData(f"sample {v} outside 0..{maxval}")
+        values.append(v)
+    return Image(width, height, channels, bytes(values))
+
+
+_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+
+
+def scrambled_ascii(rng, img: Image, maxval: int) -> bytes:
+    """P2/P3 text of img with random whitespace runs, comments and zero padding."""
+    def gap():
+        run = b"".join(rng.choice(_WHITESPACE) for _ in range(rng.integers(1, 4)))
+        if rng.random() < 0.2:
+            run += b"# note " + str(int(rng.integers(0, 999))).encode() + b"\n"
+        return run
+
+    magic = b"P2" if img.channels == 1 else b"P3"
+    fields = [str(img.width).encode(), str(img.height).encode(), str(maxval).encode()]
+    for v in img.samples:
+        fields.append(b"0" * int(rng.integers(0, 3)) + str(v).encode())
+    return magic + b"".join(gap() + f for f in fields) + (gap() if rng.random() < 0.5 else b"")
+
+
 class TestParse:
     def test_p5_binary(self):
         img = parse_pnm(b"P5\n2 1\n255\n" + bytes([0, 255]))
@@ -65,6 +125,86 @@ class TestParse:
     def test_ascii_sample_out_of_range(self):
         with pytest.raises(TruncatedData):
             parse_pnm(b"P2\n1 1\n100\n200\n")
+
+    def test_binary_sample_above_maxval(self):
+        with pytest.raises(TruncatedData):
+            parse_pnm(b"P5\n1 1\n15\n\xff")
+        with pytest.raises(TruncatedData):
+            parse_pnm(b"P6\n1 1\n200\n" + bytes([10, 201, 30]))
+
+    def test_binary_sample_at_maxval(self):
+        assert list(parse_pnm(b"P5\n2 1\n15\n\x00\x0f").samples) == [0, 15]
+
+    @pytest.mark.parametrize("data", [
+        b"P5\n+2 1\n255\n..",
+        b"P5\n1_0 1\n255\n" + bytes(10),
+        b"P5\n2 1_0\n255\n" + bytes(20),
+        b"P5\n1 1\n+255\n\x00",
+        b"P5\n-1 1\n255\n\x00",
+    ])
+    def test_header_tokens_are_plain_digits(self, data):
+        with pytest.raises(TruncatedData):
+            parse_pnm(data)
+
+
+class TestAsciiDecoder:
+    @pytest.mark.parametrize("data", [
+        b"P2\n1 1\n255\n  \n",             # blank: fromstring reads it as [0]
+        b"P2\n1 1\n255\n",                  # no raster at all
+        b"P2\n2 1\n255\n3\n",               # short, ends in whitespace
+        b"P2\n1 1\n255\n1_0\n",             # partial and signed tokens
+        b"P2\n1 1\n255\n12abc\n",
+        b"P2\n1 1\n255\n+2\n",
+        b"P2\n1 1\n255\n-1\n",
+        b"P2\n2 1\n255\n1 2.5\n",
+        b"P2\n1 1\n9\n99999999999999999999\n",  # overflows, saturates
+        b"P3\n1 1\n255\n1 2\n",
+    ])
+    def test_rejects(self, data):
+        with pytest.raises(TruncatedData):
+            parse_pnm(data)
+
+    def test_comments_between_samples(self):
+        img = parse_pnm(b"P2\n3 1\n255\n1 # one\n2#two\r3 # three")
+        assert list(img.samples) == [1, 2, 3]
+
+    def test_comment_right_after_maxval(self):
+        assert list(parse_pnm(b"P2 1 1 255#c\n9").samples) == [9]
+
+    def test_leading_zeros(self):
+        assert list(parse_pnm(b"P2\n2 1\n255\n007 0255\n").samples) == [7, 255]
+
+    def test_data_after_last_sample_ignored(self):
+        assert list(parse_pnm(b"P2\n2 1\n9\n1 2 3 400 5\n\n").samples) == [1, 2]
+
+    def test_every_isspace_byte_separates(self):
+        img = parse_pnm(b"P2\n6 1\n255\n1 2\t3\r4\x0b5\x0c6")
+        assert list(img.samples) == [1, 2, 3, 4, 5, 6]
+
+    def test_matches_per_token_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(150):
+            h, w = rng.integers(1, 9, size=2)
+            channels = int(rng.choice([1, 3]))
+            maxval = int(rng.integers(1, 256))
+            shape = (h, w) if channels == 1 else (h, w, 3)
+            img = Image.from_array(rng.integers(0, maxval + 1, size=shape, dtype=np.uint8))
+            data = scrambled_ascii(rng, img, maxval)
+            assert parse_pnm(data) == parse_ascii_oracle(data) == img
+
+    def test_rejections_match_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            img = Image.from_array(rng.integers(0, 256, size=(3, 4), dtype=np.uint8))
+            data = scrambled_ascii(rng, img, 255)
+            short = data[:int(rng.integers(len(data) // 2, len(data)))]
+            try:
+                expected = parse_ascii_oracle(short)
+            except TruncatedData:
+                with pytest.raises(TruncatedData):
+                    parse_pnm(short)
+            else:
+                assert parse_pnm(short) == expected
 
 
 class TestRoundTrip:

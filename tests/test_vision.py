@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,11 @@ from aerobot.vision import (
     GaborParams,
     default_gabor_bank,
     gabor_bank,
+    gabor_kernel,
     green_density,
     hough_circles,
     hough_lines,
+    CircleHit,
     mexican_hat_kernel,
     otsu_threshold,
     pca_project,
@@ -211,7 +214,28 @@ def direct_convolve(arr, kernel):
     return out
 
 
+def einsum_convolve(arr, kernel):
+    """The earlier direct convolution: einsum over reflect-padded sliding windows."""
+    kh, kw = kernel.shape
+    ry, rx = kh // 2, kw // 2
+    padded = np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw))
+    return np.einsum("ijkl,kl->ij", windows, kernel[::-1, ::-1])
+
+
 class TestWaveletResponse:
+    @pytest.mark.parametrize("shape, sigma", [
+        ((1, 1), 1.0), ((1, 7), 2.0), ((5, 1), 1.5), ((8, 8), 3.0),
+        ((23, 31), 1.0), ((64, 40), 2.5),
+    ])
+    def test_fft_matches_einsum(self, shape, sigma):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        arr = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        kernel = mexican_hat_kernel(sigma).values
+        got = wavelet_response(gray(arr), sigma).values
+        assert got.shape == shape
+        assert np.abs(got - einsum_convolve(arr.astype(np.float64), kernel)).max() < 1e-9
+
     def test_constant_image_is_zero(self):
         resp = wavelet_response(gray(np.full((9, 9), 200)), 1.5)
         assert np.abs(resp.values).max() < 1e-9
@@ -330,7 +354,78 @@ def circle_votes_oracle(arr, cx, cy, r):
     return votes
 
 
+def hough_circles_oracle(edges, r_min, r_max, threshold=1, angle_step=1.0):
+    """The earlier voter: one np.unique of center cells per edge pixel per radius."""
+    arr = edges.to_array()
+    ys, xs = np.nonzero(arr == 255)
+    w, h = edges.width, edges.height
+    angles = np.deg2rad(np.arange(0.0, 360.0, angle_step))
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    hits = []
+    for r in range(r_min, r_max + 1):
+        acc = np.zeros((h, w), dtype=np.int64)
+        dx = np.rint(r * cos_a).astype(np.int64)
+        dy = np.rint(r * sin_a).astype(np.int64)
+        for x, y in zip(xs, ys):
+            cx = x - dx
+            cy = y - dy
+            ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+            cells = np.unique(cy[ok] * w + cx[ok])
+            acc.reshape(-1)[cells] += 1
+        for cy_i, cx_i in zip(*np.nonzero(acc >= threshold)):
+            hits.append(CircleHit(int(cx_i), int(cy_i), r, int(acc[cy_i, cx_i])))
+    hits.sort(key=lambda c: (-c.votes, c.cx, c.cy, c.radius))
+    return hits
+
+
+def clipped_circles_image(seed, h, w, n_circles, noise):
+    """Edge image of circles that may cross the border, plus scattered pixels."""
+    rng = np.random.default_rng(seed)
+    arr = np.zeros((h, w), np.uint8)
+    for _ in range(n_circles):
+        cx, cy = rng.integers(-3, w + 3), rng.integers(-3, h + 3)
+        r = int(rng.integers(2, 12))
+        a = np.deg2rad(np.arange(0.0, 360.0, 0.5))
+        x = np.rint(cx + r * np.cos(a)).astype(int)
+        y = np.rint(cy + r * np.sin(a)).astype(int)
+        ok = (x >= 0) & (x < w) & (y >= 0) & (y < h)
+        arr[y[ok], x[ok]] = 255
+    arr[rng.random((h, w)) < noise] = 255
+    return gray(arr)
+
+
 class TestHoughCircles:
+    @pytest.mark.parametrize("angle_step", [0.5, 1.0, 7.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_pixel_oracle(self, angle_step, seed):
+        edges = clipped_circles_image(seed, 24 + seed * 5, 30 - seed * 4, 3, 0.02)
+        for r_min, r_max, threshold in ((2, 12, 1), (3, 9, 6)):
+            got = hough_circles(edges, r_min, r_max, threshold, angle_step)
+            assert got == hough_circles_oracle(edges, r_min, r_max, threshold, angle_step)
+
+    @pytest.mark.parametrize("r", [1, 4, 11])
+    def test_single_radius_matches_oracle(self, r):
+        edges = clipped_circles_image(7, 20, 26, 2, 0.03)
+        assert hough_circles(edges, r, r) == hough_circles_oracle(edges, r, r)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 5)])
+    def test_radius_beyond_image_matches_oracle(self, shape):
+        edges = gray(np.full(shape, 255))
+        assert hough_circles(edges, 1, 12) == hough_circles_oracle(edges, 1, 12)
+
+    def test_dense_edges_bounded_memory(self):
+        rng = np.random.default_rng(19)
+        arr = np.where(rng.random((192, 192)) < 0.08, 255, 0).astype(np.uint8)
+        edges = gray(arr)
+        assert 2500 < np.count_nonzero(arr) < 3500
+        tracemalloc.start()
+        try:
+            hough_circles(edges, 4, 40, threshold=60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
     def test_single_circle_recovery(self):
         arr = np.zeros((21, 21), np.uint8)
         rasterize_circle(arr, 10, 10, 5)
@@ -392,6 +487,16 @@ class TestGabor:
                       for m in gabor_bank(gray(np.rot90(base).copy()), bank)]
         assert int(np.argmax(img_scores)) == 0
         assert int(np.argmax(rot_scores)) == 2  # 0 deg -> 90 deg member
+
+    @pytest.mark.parametrize("shape", [(1, 1), (8, 8), (13, 60), (70, 52)])
+    def test_fft_matches_einsum(self, shape):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        arr = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        bank = default_gabor_bank() + [GaborParams(5.0, 0.3, 1.5, aspect=0.8, phase=1.0)]
+        maps = gabor_bank(gray(arr), bank)
+        for p, m in zip(bank, maps):
+            expected = einsum_convolve(arr.astype(np.float64), gabor_kernel(p))
+            assert np.abs(m.values - expected).max() < 1e-9
 
     def test_empty_bank(self):
         with pytest.raises(EmptyBank):
