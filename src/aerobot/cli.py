@@ -14,19 +14,26 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import flight, fuzzy, neural, sidewalk, vision
 from .errors import AerobotError
-from .raster import Image, histogram, parse_pnm, to_grayscale, write_pnm
+
+# Each command imports the layers it needs when it runs, after reading its
+# input, so thermal, thrust, usage errors and unreadable files never load
+# numpy. Layer functions are looked up on their modules at call time.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
+# literals, so that building the parser loads no numpy; a test keeps them
+# equal to vision.DEFAULT_EXG_THRESHOLD and the neural activation kinds
+DEFAULT_EXG_THRESHOLD = 20
+_ACTIVATIONS = {"sigmoid": "sigmoid", "relu": "relu", "leaky": "leaky_relu"}
+
 
 def _read_image(path: str):
-    return parse_pnm(Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    from . import raster
+    return raster.parse_pnm(data)
 
 
 def _emit(payload: dict) -> None:
@@ -39,12 +46,16 @@ def _write_files(files: list[tuple[str, bytes]]) -> None:
 
 
 def _cmd_otsu(args) -> int:
-    img = to_grayscale(_read_image(args.image))
-    t = vision.otsu_threshold(histogram(img))
+    img = _read_image(args.image)
+    import numpy as np
+
+    from . import raster, vision
+    img = raster.to_grayscale(img)
+    t = vision.otsu_threshold(raster.histogram(img))
     files = []
     if args.out:
         mask = np.where(img.to_array() > t, 255, 0).astype(np.uint8)
-        files.append((args.out, write_pnm(Image.from_array(mask))))
+        files.append((args.out, raster.write_pnm(raster.Image.from_array(mask))))
     _write_files(files)
     _emit({"threshold": t})
     return EXIT_OK
@@ -52,10 +63,11 @@ def _cmd_otsu(args) -> int:
 
 def _cmd_green_density(args) -> int:
     img = _read_image(args.image)
+    from . import raster, vision
     result = vision.green_density(img, exg_threshold=args.threshold)
     files = []
     if args.mask:
-        files.append((args.mask, write_pnm(result.mask)))
+        files.append((args.mask, raster.write_pnm(result.mask)))
     _write_files(files)
     _emit({"green_fraction": result.fraction, "exg_threshold": args.threshold})
     return EXIT_OK
@@ -63,6 +75,7 @@ def _cmd_green_density(args) -> int:
 
 def _cmd_dose(args) -> int:
     img = _read_image(args.image)
+    from . import fuzzy, vision
     result = vision.green_density(img)
     system = None
     if args.system:
@@ -73,27 +86,32 @@ def _cmd_dose(args) -> int:
 
 
 def _cmd_detect_lines(args) -> int:
-    edges = to_grayscale(_read_image(args.image))
-    hits = vision.hough_lines(edges, theta_step=args.theta_step, threshold=args.min_votes)
+    img = _read_image(args.image)
+    from . import raster, vision
+    hits = vision.hough_lines(raster.to_grayscale(img), theta_step=args.theta_step,
+                              threshold=args.min_votes)
     sys.stdout.write(vision.line_hits_csv(hits))
     return EXIT_OK
 
 
 def _cmd_detect_circles(args) -> int:
-    edges = to_grayscale(_read_image(args.image))
-    hits = vision.hough_circles(edges, args.r_min, args.r_max, threshold=args.min_votes)
+    img = _read_image(args.image)
+    from . import raster, vision
+    hits = vision.hough_circles(raster.to_grayscale(img), args.r_min, args.r_max,
+                                threshold=args.min_votes)
     sys.stdout.write(vision.circle_hits_csv(hits))
     return EXIT_OK
 
 
 def _cmd_inspect_sidewalk(args) -> int:
     img = _read_image(args.image)
+    from . import raster, sidewalk
     config = sidewalk.InspectConfig(sigma=args.sigma, block_length=args.block)
     report, overlay = sidewalk.inspect(img, config)
     doc = report.to_dict()
     files = []
     if args.overlay:
-        files.append((args.overlay, write_pnm(overlay)))
+        files.append((args.overlay, raster.write_pnm(overlay)))
     if args.report:
         files.append((args.report, (json.dumps(doc, indent=2) + "\n").encode()))
     _write_files(files)
@@ -102,28 +120,32 @@ def _cmd_inspect_sidewalk(args) -> int:
 
 
 def _cmd_thermal(args) -> int:
+    from . import thermal
     if args.to_temp is not None:
-        _emit({"temperature_k": vision.radiance_to_temperature(args.to_temp)})
+        _emit({"temperature_k": thermal.radiance_to_temperature(args.to_temp)})
     else:
-        _emit({"radiance_w_m2": vision.temperature_to_radiance(args.to_radiance)})
+        _emit({"radiance_w_m2": thermal.temperature_to_radiance(args.to_radiance)})
     return EXIT_OK
 
 
 def _cmd_thrust(args) -> int:
-    table = flight.load_mass_table(args.mass_table)
-    total_g = flight.total_mass(table)
-    spec = flight.ThrustSpec(total_g / 1000.0, args.rotors, args.safety)
-    kgf = flight.thrust_per_rotor(spec)
+    from . import sizing
+    table = sizing.load_mass_table(args.mass_table)
+    total_g = sizing.total_mass(table)
+    spec = sizing.ThrustSpec(total_g / 1000.0, args.rotors, args.safety)
+    kgf = sizing.thrust_per_rotor(spec)
     _emit({
         "total_g": int(total_g) if float(total_g).is_integer() else total_g,
         "per_rotor_kgf": kgf,
-        "per_rotor_n": flight.kgf_to_newtons(kgf),
+        "per_rotor_n": sizing.kgf_to_newtons(kgf),
     })
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    cfg = flight.SimConfig.from_json(Path(args.config).read_text())
+    text = Path(args.config).read_text()
+    from . import flight
+    cfg = flight.SimConfig.from_json(text)
     trace = flight.simulate_hover(cfg)
     files = []
     if args.trace:
@@ -141,13 +163,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_ACTIVATIONS = {
-    "sigmoid": neural.SIGMOID,
-    "relu": neural.RELU,
-    "leaky": neural.LEAKY_RELU,
-}
-
-
 def _layer_sizes(text: str) -> tuple:
     try:
         return tuple(int(s) for s in text.split(","))
@@ -156,6 +171,9 @@ def _layer_sizes(text: str) -> tuple:
 
 
 def _cmd_nn_demo(args) -> int:
+    import numpy as np
+
+    from . import neural
     sizes = args.layers
     activation = neural.Activation(_ACTIVATIONS[args.activation])
     net = neural.mlp_init(sizes, activation, args.seed)
@@ -189,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green-density", help="excess-green vegetation fraction of a PPM image")
     p.add_argument("image")
-    p.add_argument("--threshold", type=int, default=vision.DEFAULT_EXG_THRESHOLD,
+    p.add_argument("--threshold", type=int, default=DEFAULT_EXG_THRESHOLD,
                    help="excess-green cutoff (default %(default)s)")
     p.add_argument("--mask", help="write the green mask as PGM")
     p.set_defaults(func=_cmd_green_density)

@@ -1,9 +1,9 @@
-"""Classical vision primitives and the thermal radiance conversion.
+"""Classical vision primitives.
 
 Covers Otsu thresholding, excess-green vegetation density, the Mexican-Hat
-wavelet, Hough line/circle voting, a real Gabor filter bank with PCA, and
-the blackbody power/temperature pair. All convolutions reflect-pad so flat
-borders stay response-free.
+wavelet, Hough line/circle voting, and a real Gabor filter bank with PCA.
+All convolutions reflect-pad so flat borders stay response-free. The
+blackbody power/temperature pair lives in `thermal` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -18,19 +18,18 @@ from .errors import (
     BadRadiusRange,
     DegenerateHistogram,
     EmptyBank,
-    NegativeRadiance,
     NonPositiveSigma,
     NotGrayscale,
     NotRGB,
     ZeroVariance,
 )
 from .raster import Histogram, Image
-
-# Total-emission blackbody constant, W m^-2 K^-4. The two spectral windows
-# usually sampled by long-wave (8-14 um) and mid-wave (3-5 um) cameras are
-# descriptive metadata only; conversion always uses total emission.
-STEFAN_BOLTZMANN = 5.67e-8
-THERMAL_BANDS_UM = {"long-wave": (8.0, 14.0), "mid-wave": (3.0, 5.0)}
+from .thermal import (  # noqa: F401  re-exported
+    STEFAN_BOLTZMANN,
+    THERMAL_BANDS_UM,
+    radiance_to_temperature,
+    temperature_to_radiance,
+)
 
 DEFAULT_EXG_THRESHOLD = 20
 
@@ -170,18 +169,21 @@ def mexican_hat_kernel(sigma: float, radius: int | None = None) -> ResponseMap:
     return ResponseMap(side, side, kernel)
 
 
-def _reflect_convolve(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _reflect_convolve(arr: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """2-D convolution with edge-repeating reflect padding, by FFT.
 
-    The padded input is (h + kh - 1, w + kw - 1), so a circular convolution
-    of that size wraps only into the rows and columns that are cut away.
+    kernels is one (kh, kw) kernel or a stack (n, kh, kw) of them; the image
+    is padded and transformed once for the whole stack. The padded input is
+    (h + kh - 1, w + kw - 1), so a circular convolution of that size wraps
+    only into the rows and columns that are cut away.
     """
-    kh, kw = kernel.shape
+    kh, kw = kernels.shape[-2:]
     ry, rx = kh // 2, kw // 2
     shape = (arr.shape[0] + kh - 1, arr.shape[1] + kw - 1)
     spectrum = np.fft.rfft2(np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric"))
-    spectrum *= np.fft.rfft2(kernel, s=shape)
-    return np.fft.irfft2(spectrum, s=shape)[kh - 1:, kw - 1:]
+    products = np.fft.rfft2(kernels, s=shape)
+    products *= spectrum
+    return np.fft.irfft2(products, s=shape)[..., kh - 1:, kw - 1:]
 
 
 def wavelet_response(img: Image, sigma: float, radius: int | None = None) -> ResponseMap:
@@ -214,22 +216,27 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     thetas = np.arange(n_theta) * theta_step
     rad = np.deg2rad(thetas)
     diag = int(math.ceil(math.hypot(edges.width - 1, edges.height - 1)))
-    exact = xs[:, None] * np.cos(rad)[None, :] + ys[:, None] * np.sin(rad)[None, :]
-    rhos = np.rint(exact).astype(np.int64)
-    acc = np.zeros((2 * diag + 1, n_theta), dtype=np.int64)
+    exact = np.outer(xs, np.cos(rad))
+    exact += np.outer(ys, np.sin(rad))
+    rounded = np.rint(exact)
+    flat = rounded.astype(np.int64)
+    flat += diag
+    flat *= n_theta
+    flat += np.arange(n_theta)
+    flat = flat.ravel()
+    n_cells = (2 * diag + 1) * n_theta
+    acc = np.bincount(flat, minlength=n_cells)
     # residual distance to the bin center ranks equal-vote cells: the theta
     # whose evidence is most concentrated describes the pixels best
-    spread = np.zeros_like(acc, dtype=np.float64)
-    flat = (rhos + diag) * n_theta + np.arange(n_theta)[None, :]
-    np.add.at(acc.reshape(-1), flat.ravel(), 1)
-    np.add.at(spread.reshape(-1), flat.ravel(), np.abs(exact - rhos).ravel())
-    hits = []
-    order = []
-    for ri, ti in zip(*np.nonzero(acc >= threshold)):
-        hits.append(LineHit(float(ri - diag), float(thetas[ti]), int(acc[ri, ti])))
-        order.append(float(spread[ri, ti]))
-    ranked = sorted(zip(hits, order), key=lambda p: (-p[0].votes, p[1], p[0].rho, p[0].theta))
-    return [h for h, _ in ranked]
+    exact -= rounded
+    spread = np.bincount(flat, weights=np.abs(exact, out=exact).ravel(), minlength=n_cells)
+    cells = np.flatnonzero(acc >= threshold)
+    # cell index order is (rho, theta) order, the last tie-break
+    cells = cells[np.lexsort((cells, spread[cells], -acc[cells]))]
+    ri, ti = np.divmod(cells, n_theta)
+    return [LineHit(rho, theta, votes) for rho, theta, votes in
+            zip((ri - diag).astype(np.float64).tolist(), thetas[ti].tolist(),
+                acc[cells].tolist())]
 
 
 # largest number of circle votes cast in one bincount; bounds the temporaries
@@ -322,11 +329,15 @@ def gabor_bank(img: Image, params: list[GaborParams]) -> list[ResponseMap]:
     if not params:
         raise EmptyBank("bank has no parameter sets")
     arr = img.to_array().astype(np.float64)
-    maps = []
-    for p in params:
-        values = _reflect_convolve(arr, gabor_kernel(p))
-        maps.append(ResponseMap(img.width, img.height, values))
-    return maps
+    kernels = [gabor_kernel(p) for p in params]
+    values = [None] * len(kernels)
+    # one image spectrum and one batched inverse transform per kernel size
+    for shape in dict.fromkeys(k.shape for k in kernels):
+        members = [i for i, k in enumerate(kernels) if k.shape == shape]
+        stack = _reflect_convolve(arr, np.stack([kernels[i] for i in members]))
+        for i, v in zip(members, stack):
+            values[i] = v
+    return [ResponseMap(img.width, img.height, v) for v in values]
 
 
 def pca_project(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -353,19 +364,3 @@ def pca_project(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             row *= -1.0
     projected = centered @ components.T
     return components, projected
-
-
-# Thermal --------------------------------------------------------------------
-
-def radiance_to_temperature(power_density: float) -> float:
-    """Blackbody temperature giving the emitted power density: T = (P/sigma)^(1/4)."""
-    if power_density < 0:
-        raise NegativeRadiance(f"power density {power_density}")
-    return (power_density / STEFAN_BOLTZMANN) ** 0.25
-
-
-def temperature_to_radiance(temperature_k: float) -> float:
-    """Total emitted power density sigma*T^4 of a blackbody at T kelvin."""
-    if temperature_k < 0:
-        raise ValueError(f"temperature {temperature_k} below absolute zero")
-    return STEFAN_BOLTZMANN * temperature_k ** 4

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -255,6 +256,22 @@ class TestSimulate:
         assert "ConfigInvalid" in err
 
 
+    @pytest.mark.parametrize("text", [
+        '{"duration_s": Infinity}',
+        '{"duration_s": NaN}',
+        '{"duration_s": 1e9}',
+        '{"arm_trajectory": [[0.0, NaN, 1.0]]}',
+    ])
+    def test_non_finite_or_over_budget_config(self, capsys, tmp_path, text):
+        path = tmp_path / "sim.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ConfigInvalid: ")
+        assert "Traceback" not in err
+
+
 class TestNnDemo:
     def test_gradient_check(self, capsys):
         code, out, _ = run(capsys, "nn-demo", "--gradient-check", "--seed", "2",
@@ -324,3 +341,68 @@ class TestContract:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second
+
+
+GOLDEN = Path(__file__).with_name("golden") / "cli_stdout.json"
+
+
+def golden_calls(d: Path) -> dict:
+    """Every subcommand on fixed inputs written to d, keyed by a case name."""
+    gradient = np.tile(np.arange(0, 240, 10, dtype=np.uint8), (8, 1))
+    (d / "gradient.pgm").write_bytes(write_pnm(Image.from_array(gradient)))
+    rgb = np.full((8, 8, 3), 128, np.uint8)
+    rgb[:, :4] = (0, 255, 0)
+    rgb[2:5, 5] = (90, 160, 70)
+    (d / "field.ppm").write_bytes(write_pnm(Image.from_array(rgb)))
+    (d / "curb.pgm").write_bytes(write_pnm(generate_sidewalk(SidewalkParams(erased_blocks=(4,)))))
+    edges = np.zeros((21, 21), np.uint8)
+    edges[:, 5] = 255
+    edges[12, :] = 255
+    (d / "lines.pgm").write_bytes(write_pnm(Image.from_array(edges)))
+    ring = np.zeros((21, 21), np.uint8)
+    for tenth in range(3600):
+        a = np.radians(tenth / 10)
+        ring[round(10 + 5 * np.sin(a)), round(10 + 5 * np.cos(a))] = 255
+    (d / "ring.pgm").write_bytes(write_pnm(Image.from_array(ring)))
+    (d / "table.csv").write_text(
+        resources.files("aerobot.assets").joinpath("table1.csv").read_text())
+    from aerobot.fuzzy import default_dosing_system, system_to_json
+    (d / "rules.json").write_text(system_to_json(default_dosing_system()))
+    (d / "sim.json").write_text(SimConfig(
+        duration_s=0.05, arm_trajectory=((0.0, 0.0, 1.0), (0.05, 40.0, 0.5))).to_json())
+    p = lambda name: str(d / name)  # noqa: E731
+    return {
+        "otsu": ["otsu", p("gradient.pgm")],
+        "green-density": ["green-density", p("field.ppm")],
+        "green-density-threshold": ["green-density", p("field.ppm"), "--threshold", "200"],
+        "dose": ["dose", p("field.ppm")],
+        "dose-system": ["dose", p("field.ppm"), "--system", p("rules.json")],
+        "detect-lines": ["detect-lines", p("lines.pgm"), "--min-votes", "12"],
+        "detect-circles": ["detect-circles", p("ring.pgm"), "--r-min", "4", "--r-max", "6",
+                           "--min-votes", "12"],
+        "inspect-sidewalk": ["inspect-sidewalk", p("curb.pgm")],
+        "thermal-radiance": ["thermal", "--to-radiance", "300"],
+        "thermal-temp": ["thermal", "--to-temp", "459.27"],
+        "thrust": ["thrust", "--mass-table", p("table.csv"), "--rotors", "8",
+                   "--safety", "1.35"],
+        "simulate": ["simulate", "--config", p("sim.json")],
+        "nn-demo-gradient-check": ["nn-demo", "--gradient-check", "--seed", "2",
+                                   "--layers", "2,3,1"],
+        "nn-demo-diagnose": ["nn-demo", "--diagnose", "--seed", "4", "--layers", "3,6,6,2",
+                             "--activation", "leaky"],
+    }
+
+
+class TestGoldenStdout:
+    """Stdout of every subcommand stays byte-identical to the recorded output."""
+
+    def test_every_subcommand_matches_golden(self, capsys, tmp_path):
+        golden = json.loads(GOLDEN.read_text())
+        calls = golden_calls(tmp_path)
+        assert sorted(calls) == sorted(golden)
+        assert {argv[0] for argv in calls.values()} == set(
+            cli.build_parser()._subparsers._group_actions[0].choices)
+        for name, argv in calls.items():
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), name
+            assert out == golden[name], name

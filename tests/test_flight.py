@@ -6,6 +6,7 @@ import pytest
 from aerobot.errors import BadRotorCount, ConfigInvalid, ParseError, SubUnitySafetyFactor
 from aerobot.flight import (
     GRAVITY,
+    MAX_STEPS,
     MassEntry,
     MassTable,
     SimConfig,
@@ -178,6 +179,42 @@ class TestSimulate:
         cfg = short_config(controller=False, dt_s=0.01)
         clone = SimConfig.from_json(cfg.to_json())
         assert clone == cfg
+
+    @pytest.mark.parametrize("text", [
+        '{"duration_s": Infinity}',
+        '{"duration_s": -Infinity}',
+        '{"duration_s": NaN}',
+        '{"dt_s": NaN}',
+        '{"vehicle_mass_kg": Infinity}',
+        '{"inertia_kgm2": NaN}',
+        '{"arm_reach_m": Infinity}',
+        '{"arm_trajectory": [[0.0, NaN, 1.0]]}',
+        '{"arm_trajectory": [[0.0, 0.0, 1.0], [Infinity, 90.0, 1.0]]}',
+    ])
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(ConfigInvalid, match="finite"):
+            SimConfig.from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"duration_s": 1e9}',
+        '{"duration_s": 1e5}',
+        '{"dt_s": 1e-9, "duration_s": 1.0}',
+        '{"dt_s": 5e-324, "duration_s": 10.0}',  # the step ratio overflows to inf
+    ])
+    def test_step_budget_rejects_before_allocating(self, text):
+        with pytest.raises(ConfigInvalid, match="budget"):
+            SimConfig.from_json(text)
+
+    def test_malformed_trajectory_is_typed(self):
+        with pytest.raises(ParseError):
+            SimConfig.from_json('{"arm_trajectory": 5}')
+        with pytest.raises(ConfigInvalid, match="triples"):
+            SimConfig.from_json('{"arm_trajectory": [[0.0, 1.0]]}')
+
+    def test_step_budget_edge(self):
+        assert SimConfig(dt_s=1e-3, duration_s=MAX_STEPS * 1e-3).duration_s == 1000.0
+        with pytest.raises(ConfigInvalid, match="budget"):
+            SimConfig(dt_s=1e-3, duration_s=(MAX_STEPS + 1) * 1e-3)
 
     def test_config_json_errors(self):
         with pytest.raises(ParseError):

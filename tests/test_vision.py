@@ -26,6 +26,7 @@ from aerobot.vision import (
     hough_circles,
     hough_lines,
     CircleHit,
+    LineHit,
     mexican_hat_kernel,
     otsu_threshold,
     pca_project,
@@ -288,6 +289,45 @@ def line_votes_oracle(arr, rho, theta_deg):
     return votes
 
 
+def hough_lines_oracle(edges, theta_step=1.0, threshold=1):
+    """The earlier accumulator: np.add.at votes and spread, ranked by sorted()."""
+    arr = edges.to_array()
+    ys, xs = np.nonzero(arr == 255)
+    if len(xs) == 0:
+        return []
+    n_theta = int(round(180.0 / theta_step))
+    thetas = np.arange(n_theta) * theta_step
+    rad = np.deg2rad(thetas)
+    diag = int(math.ceil(math.hypot(edges.width - 1, edges.height - 1)))
+    exact = xs[:, None] * np.cos(rad)[None, :] + ys[:, None] * np.sin(rad)[None, :]
+    rhos = np.rint(exact).astype(np.int64)
+    acc = np.zeros((2 * diag + 1, n_theta), dtype=np.int64)
+    spread = np.zeros_like(acc, dtype=np.float64)
+    flat = (rhos + diag) * n_theta + np.arange(n_theta)[None, :]
+    np.add.at(acc.reshape(-1), flat.ravel(), 1)
+    np.add.at(spread.reshape(-1), flat.ravel(), np.abs(exact - rhos).ravel())
+    hits = []
+    order = []
+    for ri, ti in zip(*np.nonzero(acc >= threshold)):
+        hits.append(LineHit(float(ri - diag), float(thetas[ti]), int(acc[ri, ti])))
+        order.append(float(spread[ri, ti]))
+    ranked = sorted(zip(hits, order), key=lambda p: (-p[0].votes, p[1], p[0].rho, p[0].theta))
+    return [h for h, _ in ranked]
+
+
+def line_mask(seed, h=48, w=64):
+    """Two drawn lines, a short segment and scattered noise pixels at 255."""
+    rng = np.random.default_rng(seed)
+    arr = np.zeros((h, w), np.uint8)
+    arr[:, int(rng.integers(0, w))] = 255
+    arr[int(rng.integers(0, h)), :] = 255
+    x0, y0 = int(rng.integers(0, w // 2)), int(rng.integers(0, h // 2))
+    for k in range(int(rng.integers(5, 20))):
+        arr[min(h - 1, y0 + k), min(w - 1, x0 + 2 * k)] = 255
+    arr[rng.random((h, w)) < 0.02] = 255
+    return gray(arr)
+
+
 class TestHoughLines:
     def test_vertical_column(self):
         arr = np.zeros((11, 11), np.uint8)
@@ -323,6 +363,21 @@ class TestHoughLines:
     def test_theta_step_must_divide_180(self):
         with pytest.raises(ValueError):
             hough_lines(gray(np.zeros((3, 3))), 7.0)
+
+    @pytest.mark.parametrize("threshold", [1, 5, 40])
+    def test_matches_add_at_oracle(self, threshold):
+        for seed in range(50):
+            edges = line_mask(seed)
+            got = hough_lines(edges, 1.0, threshold=threshold)
+            assert got == hough_lines_oracle(edges, 1.0, threshold)
+            assert all(type(h.rho) is float and type(h.theta) is float and type(h.votes) is int
+                       for h in got[:3])
+
+    @pytest.mark.parametrize("theta_step", [0.5, 3.0, 45.0])
+    def test_matches_oracle_at_other_steps(self, theta_step):
+        for seed in range(5):
+            edges = line_mask(100 + seed, 17, 23)
+            assert hough_lines(edges, theta_step, 2) == hough_lines_oracle(edges, theta_step, 2)
 
     def test_votes_sorted_descending(self):
         arr = np.zeros((11, 11), np.uint8)
@@ -496,6 +551,19 @@ class TestGabor:
         maps = gabor_bank(gray(arr), bank)
         for p, m in zip(bank, maps):
             expected = einsum_convolve(arr.astype(np.float64), gabor_kernel(p))
+            assert np.abs(m.values - expected).max() < 1e-9
+
+    def test_interleaved_kernel_sizes_keep_bank_order(self):
+        rng = np.random.default_rng(11)
+        arr = rng.integers(0, 256, size=(37, 29), dtype=np.uint8)
+        small = [GaborParams(4.0, a, 1.2) for a in (0.0, 1.1)]
+        large = [GaborParams(9.0, a, 3.0, aspect=0.7) for a in (0.4, 2.0)]
+        bank = [small[0], large[0], small[1], large[1]]
+        assert len({gabor_kernel(p).shape for p in bank}) == 2
+        maps = gabor_bank(gray(arr), bank)
+        for p, m in zip(bank, maps):
+            expected = einsum_convolve(arr.astype(np.float64), gabor_kernel(p))
+            assert m.values.shape == arr.shape
             assert np.abs(m.values - expected).max() < 1e-9
 
     def test_empty_bank(self):
