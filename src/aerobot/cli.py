@@ -74,12 +74,11 @@ def _cmd_green_density(args) -> int:
 
 
 def _cmd_dose(args) -> int:
-    img = _read_image(args.image)
-    from . import fuzzy, vision
-    result = vision.green_density(img)
-    system = None
-    if args.system:
-        system = fuzzy.system_from_json(Path(args.system).read_text())
+    data = Path(args.image).read_bytes()
+    rules = Path(args.system).read_text() if args.system else None
+    from . import fuzzy, raster, vision
+    result = vision.green_density(raster.parse_pnm(data))
+    system = None if rules is None else fuzzy.system_from_json(rules)
     dose = fuzzy.pesticide_dose(result.fraction, system)
     _emit({"green_fraction": result.fraction, "dose_liters": dose})
     return EXIT_OK

@@ -68,6 +68,8 @@ class SimConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigInvalid(f"{f.name} {getattr(self, f.name)} is not finite")
+        if not isinstance(self.controller, bool):
+            raise ConfigInvalid(f"controller {self.controller!r} is not a boolean")
         if any(len(k) != 3 for k in self.arm_trajectory):
             raise ConfigInvalid("keyframes are (time_s, azimuth_deg, extension) triples")
         if not all(math.isfinite(v) for k in self.arm_trajectory for v in k):

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import NoRuleFired, ParseError
 
 N_ROTORS = 8
+# bounds on the output sample grid; the upper one caps each curve's allocation
+MIN_SAMPLES = 51
+MAX_SAMPLES = 10_001
 ROTOR_AZIMUTHS_DEG = tuple(45.0 * i for i in range(N_ROTORS))
 
 
@@ -98,8 +101,8 @@ class FuzzySystem:
     """Immutable rulebase; consequent curves are pre-sampled at construction."""
 
     def __init__(self, inputs, outputs, rules, samples: int = 201):
-        if samples < 51:
-            raise ValueError(f"samples {samples} below 51")
+        if not MIN_SAMPLES <= samples <= MAX_SAMPLES:
+            raise ValueError(f"samples {samples} outside {MIN_SAMPLES}..{MAX_SAMPLES}")
         self.inputs = {v.name: v for v in inputs}
         self.outputs = {v.name: v for v in outputs}
         self.rules = tuple(rules)

@@ -271,6 +271,14 @@ class TestSimulate:
         assert err.startswith("error: ConfigInvalid: ")
         assert "Traceback" not in err
 
+    def test_non_boolean_controller(self, capsys, tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text('{"controller": "yes", "duration_s": 0.01}')
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ConfigInvalid: controller")
+
 
 class TestNnDemo:
     def test_gradient_check(self, capsys):

@@ -211,6 +211,15 @@ class TestSimulate:
         with pytest.raises(ConfigInvalid, match="triples"):
             SimConfig.from_json('{"arm_trajectory": [[0.0, 1.0]]}')
 
+    @pytest.mark.parametrize("text", [
+        '{"controller": "yes", "duration_s": 0.01}',
+        '{"controller": 1, "duration_s": 0.01}',
+        '{"controller": null, "duration_s": 0.01}',
+    ])
+    def test_non_boolean_controller_rejected(self, text):
+        with pytest.raises(ConfigInvalid, match="boolean"):
+            SimConfig.from_json(text)
+
     def test_step_budget_edge(self):
         assert SimConfig(dt_s=1e-3, duration_s=MAX_STEPS * 1e-3).duration_s == 1000.0
         with pytest.raises(ConfigInvalid, match="budget"):

@@ -5,6 +5,7 @@ import pytest
 
 from aerobot.errors import NoRuleFired, ParseError
 from aerobot.fuzzy import (
+    MAX_SAMPLES,
     N_ROTORS,
     FuzzySystem,
     FuzzyVariable,
@@ -159,6 +160,19 @@ class TestInfer:
                 samples=50,
             )
 
+    def test_max_sample_count_checked_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sample grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(ValueError, match="samples"):
+            single_output_system(
+                {"mid": MembershipFunction.triangle(0.25, 0.5, 0.75),
+                 "o": MembershipFunction.triangle(0.0, 0.0, 0.25)},
+                [Rule((("x", "lo"),), ("y", "mid"))],
+                samples=MAX_SAMPLES + 1,
+            )
+
     def test_deterministic(self):
         system = default_dosing_system()
         a = infer(system, {"green_density": 0.37})["dose"]
@@ -302,6 +316,12 @@ class TestSystemJson:
         doc = json.loads(system_to_json(default_dosing_system()))
         doc["inputs"][0]["sets"]["low"]["shape"] = "pentagon"
         with pytest.raises(ParseError):
+            system_from_json(json.dumps(doc))
+
+    def test_rejects_sample_count_above_bound(self):
+        doc = json.loads(system_to_json(default_dosing_system()))
+        doc["samples"] = MAX_SAMPLES + 1
+        with pytest.raises(ParseError, match="samples"):
             system_from_json(json.dumps(doc))
 
     def test_custom_system_through_dose(self):

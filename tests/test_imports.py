@@ -48,6 +48,13 @@ def test_light_calls_never_load_numpy(tmp_path, argv, code):
     assert {"aerobot.vision", "aerobot.raster", "aerobot.flight"}.isdisjoint(modules)
 
 
+def test_dose_reads_missing_rules_before_loading_numpy(tmp_path):
+    (tmp_path / "field.ppm").write_bytes(b"P3\n2 1\n255\n0 255 0 9 9 9\n")
+    code, modules = loaded_by("dose", "field.ppm", "--system", "missing.json", cwd=tmp_path)
+    assert code == 1
+    assert "numpy" not in modules
+
+
 @pytest.mark.parametrize("argv", [
     ["otsu", "wall.pgm"],
     ["detect-lines", "wall.pgm", "--min-votes", "1"],

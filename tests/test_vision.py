@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aerobot import vision
 from aerobot.errors import (
     BadRadiusRange,
     DegenerateHistogram,
@@ -106,6 +109,24 @@ class TestOtsu:
             h = Histogram(tuple(int(b) for b in bins))
             assert otsu_threshold(h) == otsu_oracle(h.bins)
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(
+        st.lists(st.integers(0, 10**6), min_size=256, max_size=256),
+        st.dictionaries(st.integers(0, 255), st.integers(1, 10**12), max_size=6).map(
+            lambda spikes: [spikes.get(v, 0) for v in range(256)]),
+    ))
+    def test_matches_fraction_oracle_on_any_histogram(self, bins):
+        hist = Histogram(tuple(bins))
+        populated = sum(1 for b in bins if b)
+        if populated == 0:
+            with pytest.raises(ValueError):
+                otsu_threshold(hist)
+        elif populated == 1:
+            with pytest.raises(DegenerateHistogram):
+                otsu_threshold(hist)
+        else:
+            assert otsu_threshold(hist) == otsu_oracle(bins)
+
     def test_binarization_separates_two_level_image(self):
         img = gray([[20] * 4 + [240] * 4] * 3)
         t = otsu_threshold(histogram(img))
@@ -157,6 +178,18 @@ class TestGreenDensity:
     def test_rejects_gray(self):
         with pytest.raises(NotRGB):
             green_density(gray([[1]]))
+
+    @pytest.mark.parametrize("threshold", [-511, -510, -1, 0, 20, 509, 510, 10**6])
+    def test_matches_int32_formula(self, threshold):
+        rng = np.random.default_rng(threshold % 1000)
+        arr = rng.integers(0, 256, size=(23, 17, 3), dtype=np.uint8)
+        arr[0, :4] = [(0, 255, 0), (255, 0, 255), (0, 0, 0), (255, 255, 255)]
+        rgb = arr.astype(np.int32)
+        exg = 2 * rgb[:, :, 1] - rgb[:, :, 0] - rgb[:, :, 2]
+        expected = np.where(exg > threshold, 255, 0).astype(np.uint8)
+        result = green_density(Image.from_array(arr), exg_threshold=threshold)
+        assert result.fraction == float(np.count_nonzero(exg > threshold)) / exg.size
+        assert result.mask.samples == expected.tobytes()
 
 
 # Mexican-Hat kernel and wavelet ---------------------------------------------
@@ -468,6 +501,43 @@ class TestHoughCircles:
         edges = gray(np.full(shape, 255))
         assert hough_circles(edges, 1, 12) == hough_circles_oracle(edges, 1, 12)
 
+    @pytest.mark.parametrize("per_batch, r_min, r_max", [
+        (3, 2, 13),   # four batches of three radii
+        (4, 2, 13),   # three batches of four
+        (5, 2, 13),   # five, five and two
+        (2, 4, 4),    # one radius, room for two
+    ])
+    def test_radius_batches_match_oracle(self, monkeypatch, per_batch, r_min, r_max):
+        edges = clipped_circles_image(3, 22, 27, 3, 0.03)
+        plane = (22 + 2 * min(r_max, 21)) * (27 + 2 * min(r_max, 26))
+        monkeypatch.setattr(vision, "_VOTE_CHUNK", per_batch * plane)
+        for threshold in (1, 5):
+            got = hough_circles(edges, r_min, r_max, threshold)
+            assert got == hough_circles_oracle(edges, r_min, r_max, threshold)
+
+    def test_batch_stops_at_radii_beyond_image(self, monkeypatch):
+        edges = gray(np.full((3, 5), 255))
+        # the 360 offsets per radius outweigh the 7x13 padded plane
+        monkeypatch.setattr(vision, "_VOTE_CHUNK", 2 * 360)
+        assert hough_circles(edges, 1, 12) == hough_circles_oracle(edges, 1, 12)
+        # at threshold 0 every cell of a radius that reaches some center counts,
+        # and no radius beyond the last such one is listed
+        reach = max(hit.radius for hit in hough_circles_oracle(edges, 1, 12))
+        assert hough_circles(edges, 1, 12, threshold=0) == [
+            hit for hit in hough_circles_oracle(edges, 1, 12, threshold=0) if hit.radius <= reach]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_one_ties_match_oracle(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        arr = np.where(rng.random((18, 21)) < 0.05, 255, 0).astype(np.uint8)
+        arr[rng.integers(0, 18), rng.integers(0, 21)] = 255
+        edges = gray(arr)
+        got = hough_circles(edges, 1, 9, threshold=1)
+        assert got == hough_circles_oracle(edges, 1, 9, threshold=1)
+        votes = [h.votes for h in got]
+        assert len(votes) > 2 * len(set(votes))  # many hits share a vote count
+        assert all(type(v) is int for hit in got[:5] for v in hit)
+
     def test_dense_edges_bounded_memory(self):
         rng = np.random.default_rng(19)
         arr = np.where(rng.random((192, 192)) < 0.08, 255, 0).astype(np.uint8)
@@ -565,6 +635,45 @@ class TestGabor:
             expected = einsum_convolve(arr.astype(np.float64), gabor_kernel(p))
             assert m.values.shape == arr.shape
             assert np.abs(m.values - expected).max() < 1e-9
+
+    def test_repeated_and_interleaved_shapes_give_same_maps(self):
+        rng = np.random.default_rng(12)
+        images = [gray(rng.integers(0, 256, size=shape, dtype=np.uint8))
+                  for shape in ((32, 32), (9, 14), (32, 32), (14, 9))]
+        bank = default_gabor_bank()
+        vision._gabor_spectra.cache_clear()
+        first = [[m.values.copy() for m in gabor_bank(img, bank)] for img in images]
+        for _ in range(2):
+            for img, expected in zip(images, first):
+                for m, e in zip(gabor_bank(img, bank), expected):
+                    assert np.array_equal(m.values, e)
+        for img, expected in zip(images, first):
+            for p, e in zip(bank, expected):
+                assert np.abs(einsum_convolve(img.to_array().astype(np.float64),
+                                              gabor_kernel(p)) - e).max() < 1e-9
+
+    def test_mutating_a_map_leaves_the_next_call_alone(self):
+        img = gray(np.random.default_rng(13).integers(0, 256, size=(20, 24), dtype=np.uint8))
+        bank = default_gabor_bank()
+        expected = [m.values.copy() for m in gabor_bank(img, bank)]
+        for m in gabor_bank(img, bank):
+            m.values[...] = 7.0
+        for m, e in zip(gabor_bank(img, bank), expected):
+            assert np.array_equal(m.values, e)
+
+    def test_cached_spectra_are_read_only_and_bounded(self):
+        bank = tuple(default_gabor_bank())
+        vision._gabor_spectra.cache_clear()
+        for side in range(4, 14):
+            gabor_bank(gray(np.zeros((side, side + 1))), list(bank))
+        info = vision._gabor_spectra.cache_info()
+        assert info.misses == 10
+        assert info.currsize <= info.maxsize <= 8
+        for members, shape, spectrum in vision._gabor_spectra(bank, (13, 14)):
+            assert spectrum.shape == (len(members), 13 + shape[0] - 1, (14 + shape[1] - 1) // 2 + 1)
+            assert not spectrum.flags.writeable
+            with pytest.raises(ValueError):
+                spectrum[0, 0, 0] = 0.0
 
     def test_empty_bank(self):
         with pytest.raises(EmptyBank):
