@@ -35,6 +35,8 @@ class MembershipFunction:
     def __post_init__(self):
         if len(self.points) not in (3, 4):
             raise ValueError(f"need 3 or 4 breakpoints, got {len(self.points)}")
+        if not all(map(math.isfinite, self.points)):
+            raise ValueError(f"breakpoints must be finite: {self.points}")
         if any(b < a for a, b in zip(self.points, self.points[1:])):
             raise ValueError(f"breakpoints must be non-decreasing: {self.points}")
 
@@ -76,8 +78,8 @@ class FuzzyVariable:
 
     def __post_init__(self):
         lo, hi = self.universe
-        if not lo < hi:
-            raise ValueError(f"universe {self.universe} is empty")
+        if not -math.inf < lo < hi < math.inf:  # NaN fails every comparison
+            raise ValueError(f"universe {self.universe} is empty or not finite")
         if len(self.sets) < 2:
             raise ValueError(f"variable {self.name!r} needs >= 2 labels")
         for label, mf in self.sets.items():
@@ -221,9 +223,10 @@ def _var_from_doc(doc: dict) -> FuzzyVariable:
 def system_from_json(text: str) -> FuzzySystem:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError, or an over-long integer
         raise ParseError(f"bad JSON: {exc}") from exc
-    if doc.get("format") != FUZZY_FORMAT or doc.get("version") != _FORMAT_VERSION:
+    if (not isinstance(doc, dict) or doc.get("format") != FUZZY_FORMAT
+            or doc.get("version") != _FORMAT_VERSION):
         raise ParseError(f"not a {FUZZY_FORMAT} v{_FORMAT_VERSION} document")
     try:
         inputs = [_var_from_doc(d) for d in doc["inputs"]]
@@ -233,7 +236,7 @@ def system_from_json(text: str) -> FuzzySystem:
             for r in doc["rules"]
         ]
         return FuzzySystem(inputs, outputs, rules, samples=doc.get("samples", 201))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad fuzzy system document: {exc}") from exc
 
 

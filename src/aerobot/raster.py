@@ -142,7 +142,9 @@ def parse_pnm(data: bytes) -> Image:
     if magic in _MAGIC_ASCII:
         # only digits and whitespace may remain once comments are dropped, so
         # signs, underscores and partial tokens such as 12abc are rejected
-        body = _COMMENT.sub(b" ", data[pos:])
+        body = data[pos:]
+        if b"#" in body:
+            body = _COMMENT.sub(b" ", body)
         if body.translate(None, _DIGITS_AND_SPACE):
             raise TruncatedData("raster holds a byte that is neither a digit nor whitespace")
         if body.isspace():  # fromstring would read whitespace-only text as [0]
@@ -183,10 +185,13 @@ def to_grayscale(img: Image) -> Image:
     """BT.601 luma with round-half-up; gray input is returned unchanged."""
     if img.channels == 1:
         return img
-    rgb = img.to_array().astype(np.float64)
-    luma = _LUMA_R * rgb[:, :, 0] + _LUMA_G * rgb[:, :, 1] + _LUMA_B * rgb[:, :, 2]
-    gray = np.floor(luma + 0.5).astype(np.uint8)
-    return Image.from_array(gray)
+    rgb = img.to_array()
+    # ((R*0.299 + G*0.587) + B*0.114) + 0.5 in float64; this order fixes each rounding
+    luma = np.multiply(rgb[:, :, 0], _LUMA_R, dtype=np.float64)
+    luma += np.multiply(rgb[:, :, 1], _LUMA_G, dtype=np.float64)
+    luma += np.multiply(rgb[:, :, 2], _LUMA_B, dtype=np.float64)
+    luma += 0.5
+    return Image.from_array(np.floor(luma, out=luma).astype(np.uint8))
 
 
 def histogram(img: Image) -> Histogram:
@@ -194,4 +199,4 @@ def histogram(img: Image) -> Histogram:
     if img.channels != 1:
         raise NotGrayscale("histogram requires a gray image")
     counts = np.bincount(np.frombuffer(img.samples, dtype=np.uint8), minlength=256)
-    return Histogram(tuple(int(c) for c in counts))
+    return Histogram(tuple(counts.tolist()))

@@ -112,12 +112,13 @@ def otsu_threshold(hist: Histogram) -> int:
     if len(nonzero) == 1:
         raise DegenerateHistogram(nonzero[0])
 
-    total_sum = sum(v * bins[v] for v in range(256))
+    total_sum = sum(v * bins[v] for v in nonzero)
     best_t = 0
     best_num, best_den = -1, 1  # score as exact fraction best_num/best_den
     n0 = 0
     s0 = 0
-    for t in range(256):
+    # an empty level scores like the level below it, so it never wins the strict >
+    for t in nonzero:
         n0 += bins[t]
         s0 += t * bins[t]
         n1 = total - n0
@@ -218,8 +219,7 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
         raise NotGrayscale("edge image must be gray")
     if theta_step <= 0 or (180.0 / theta_step) != round(180.0 / theta_step):
         raise ValueError(f"theta_step {theta_step} must divide 180")
-    arr = edges.to_array()
-    ys, xs = np.nonzero(arr == 255)
+    ys, xs = np.divmod(np.flatnonzero(np.frombuffer(edges.samples, np.uint8) == 255), edges.width)
     if len(xs) == 0:
         return []
     n_theta = int(round(180.0 / theta_step))
@@ -228,25 +228,25 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     diag = int(math.ceil(math.hypot(edges.width - 1, edges.height - 1)))
     exact = np.outer(xs, np.cos(rad))
     exact += np.outer(ys, np.sin(rad))
-    rounded = np.rint(exact)
-    flat = rounded.astype(np.int64)
-    flat += diag
+    # cell (rho + diag) * n_theta + theta, rounded once into int64 in place
+    flat = np.rint(exact, out=np.empty(exact.shape, np.int64), casting="unsafe")
+    exact -= flat  # residual to the bin center
     flat *= n_theta
-    flat += np.arange(n_theta)
-    flat = flat.ravel()
-    n_cells = (2 * diag + 1) * n_theta
-    acc = np.bincount(flat, minlength=n_cells)
-    # residual distance to the bin center ranks equal-vote cells: the theta
-    # whose evidence is most concentrated describes the pixels best
-    exact -= rounded
-    spread = np.bincount(flat, weights=np.abs(exact, out=exact).ravel(), minlength=n_cells)
+    flat += np.arange(diag * n_theta, (diag + 1) * n_theta)
+    acc = np.bincount(flat.ravel(), minlength=(2 * diag + 1) * n_theta)
     cells = np.flatnonzero(acc >= threshold)
-    # cell index order is (rho, theta) order, the last tie-break
-    cells = cells[np.lexsort((cells, spread[cells], -acc[cells]))]
     ri, ti = np.divmod(cells, n_theta)
+    # summed residuals rank equal-vote cells, the most concentrated theta first;
+    # only theta columns holding a hit are summed, into (rho, column) slots
+    cols, ci = np.unique(ti, return_inverse=True)
+    slots = flat[:, cols] // n_theta * len(cols) + np.arange(len(cols))
+    spread = np.bincount(slots.ravel(), weights=np.abs(exact[:, cols]).ravel(),
+                         minlength=(2 * diag + 1) * len(cols))
+    # cell index order is (rho, theta) order, the last tie-break
+    order = np.lexsort((cells, spread[ri * len(cols) + ci], -acc[cells]))
     return [LineHit(rho, theta, votes) for rho, theta, votes in
-            zip((ri - diag).astype(np.float64).tolist(), thetas[ti].tolist(),
-                acc[cells].tolist())]
+            zip((ri[order] - diag).astype(np.float64).tolist(), thetas[ti[order]].tolist(),
+                acc[cells[order]].tolist())]
 
 
 # largest number of circle votes cast in one bincount, and of accumulator
@@ -261,14 +261,15 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
     Every edge pixel casts one vote per radius into each distinct center cell
     reached along directions sampled at angle_step degrees, so a hit's votes
     count supporting edge pixels. Cells with >= threshold votes are returned
-    sorted by votes descending.
+    sorted by votes descending. A threshold <= 0 also lists zero-vote cells,
+    but only up to the last radius with a rounded offset inside the image
+    (at most w - 1 columns and h - 1 rows); no larger radius reaches a center.
     """
     if edges.channels != 1:
         raise NotGrayscale("edge image must be gray")
     if not 0 < r_min <= r_max:
         raise BadRadiusRange(f"r_min {r_min}, r_max {r_max}")
-    arr = edges.to_array()
-    ys, xs = np.nonzero(arr == 255)
+    ys, xs = np.divmod(np.flatnonzero(np.frombuffer(edges.samples, np.uint8) == 255), edges.width)
     if len(xs) == 0:
         return []
     w, h = edges.width, edges.height

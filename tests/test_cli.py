@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -124,6 +126,38 @@ class TestGreenDensityAndDose:
         code, out, _ = run(capsys, "dose", str(half_green_ppm), "--system", str(path))
         assert code == 0
         validate(out, "dose")
+
+
+def edited_dosing_doc(path, value):
+    """The shipped dosing rulebase with the node at path replaced by value."""
+    from aerobot.fuzzy import default_dosing_system, system_to_json
+    if not path:
+        return value
+    doc = json.loads(system_to_json(default_dosing_system()))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestDoseSystemBoundary:
+    @pytest.mark.parametrize("path, value", [
+        ((), [1, 2]),
+        ((), 5),
+        (("inputs", 0, "sets"), [1, 2]),
+        (("inputs", 0, "sets", "medium", "points", 1), math.nan),
+        (("outputs", 0, "universe", 1), math.inf),
+        (("outputs", 0, "sets", "large", "points", 2), 10 ** 400),
+    ], ids=["list", "number", "sets-list", "nan-point", "inf-universe", "huge-point"])
+    def test_bad_system_file_exits_1(self, capsys, tmp_path, half_green_ppm, path, value):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(edited_dosing_doc(path, value)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            code, out, err = run(capsys, "dose", str(half_green_ppm), "--system", str(rules))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ParseError: ")
 
 
 class TestDetectors:

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +57,12 @@ class TestMembership:
         assert mf(0.0) == 1.0
         assert mf(0.5) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("points", [(0.0, math.nan, 1.0), (math.nan, 0.0, 1.0),
+                                        (0.0, 1.0, math.inf), (-math.inf, 0.0, 1.0, 2.0)])
+    def test_rejects_non_finite_points(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            MembershipFunction(points)
+
     def test_rejects_decreasing_points(self):
         with pytest.raises(ValueError):
             MembershipFunction.triangle(1.0, 0.5, 0.8)
@@ -86,6 +94,12 @@ class TestFuzzify:
     def test_variable_needs_two_labels(self):
         with pytest.raises(ValueError):
             FuzzyVariable("x", (0.0, 1.0), {"only": MembershipFunction.triangle(0, 0.5, 1)})
+
+    @pytest.mark.parametrize("universe", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+    def test_universe_must_be_finite(self, universe):
+        with pytest.raises(ValueError, match="not finite"):
+            FuzzyVariable("x", universe, {"a": MembershipFunction.triangle(0, 0, 1),
+                                          "b": MembershipFunction.triangle(0, 1, 1)})
 
     def test_breakpoints_must_fit_universe(self):
         with pytest.raises(ValueError):
@@ -317,6 +331,32 @@ class TestSystemJson:
         doc["inputs"][0]["sets"]["low"]["shape"] = "pentagon"
         with pytest.raises(ParseError):
             system_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"aerobot-fuzzy"', "null",
+                                      "[" * 100_000, '{"n": 1' + "0" * 5000 + "}"],
+                             ids=["list", "number", "string", "null", "deep", "long-int"])
+    def test_rejects_non_object_and_unreadable_documents(self, text):
+        with pytest.raises(ParseError):
+            system_from_json(text)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["inputs"][0].update(sets=[1, 2]),
+        lambda d: d["inputs"][0]["sets"].update(low=[0.0, 0.0, 0.5]),
+        lambda d: d["inputs"][0]["sets"]["medium"].update(points=[0.0, math.nan, 1.0]),
+        lambda d: d["inputs"][0]["sets"]["low"].update(points=[math.nan, 0.0, 0.5]),
+        lambda d: d["outputs"][0]["universe"].__setitem__(1, math.inf),
+        lambda d: d["inputs"][0]["universe"].__setitem__(0, -math.inf),
+        lambda d: d["outputs"][0]["universe"].__setitem__(0, math.nan),
+        lambda d: d["outputs"][0]["sets"]["large"].update(points=[5.0, 9.0, 10 ** 400]),
+    ], ids=["sets-list", "set-list", "nan-apex", "nan-foot", "inf-universe", "minus-inf-universe",
+            "nan-universe", "huge-point"])
+    def test_rejects_malformed_or_non_finite_documents(self, edit):
+        doc = json.loads(system_to_json(default_dosing_system()))
+        edit(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way out
+            with pytest.raises(ParseError):
+                system_from_json(json.dumps(doc))
 
     def test_rejects_sample_count_above_bound(self):
         doc = json.loads(system_to_json(default_dosing_system()))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aerobot import raster
 from aerobot.errors import (
     BadMagic,
     MaxvalUnsupported,
@@ -181,6 +182,16 @@ class TestAsciiDecoder:
         img = parse_pnm(b"P2\n6 1\n255\n1 2\t3\r4\x0b5\x0c6")
         assert list(img.samples) == [1, 2, 3, 4, 5, 6]
 
+    def test_comment_pass_runs_only_on_a_hash(self, monkeypatch):
+        class NoSub:
+            def sub(self, *_):
+                raise AssertionError("comment pass ran")
+
+        monkeypatch.setattr(raster, "_COMMENT", NoSub())
+        assert list(parse_pnm(b"P3\n1 1\n255\n7 8 9\n").samples) == [7, 8, 9]
+        with pytest.raises(AssertionError, match="comment pass ran"):
+            parse_pnm(b"P2\n2 1\n255\n7 # x\n9\n")
+
     def test_matches_per_token_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(150):
@@ -235,7 +246,22 @@ class TestRoundTrip:
         assert data.startswith(b"P2")
 
 
+def luma_oracle(rgb: np.ndarray) -> np.ndarray:
+    """The earlier formula: a float64 copy of all three channels, then one sum."""
+    f = rgb.astype(np.float64)
+    luma = 0.299 * f[:, :, 0] + 0.587 * f[:, :, 1] + 0.114 * f[:, :, 2]
+    return np.floor(luma + 0.5).astype(np.uint8)
+
+
 class TestGrayscale:
+    def test_matches_float_formula_on_the_whole_rgb_cube(self):
+        rgb = np.empty((256, 256, 3), np.uint8)
+        rgb[:, :, 1], rgb[:, :, 2] = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        for r in range(256):
+            rgb[:, :, 0] = r
+            got = to_grayscale(Image.from_array(rgb)).to_array()
+            assert np.array_equal(got, luma_oracle(rgb)), f"red {r}"
+
     def test_gray_identity(self):
         img = gray([[5, 10]])
         assert to_grayscale(img) is img
@@ -279,6 +305,14 @@ class TestHistogram:
             h, w = rng.integers(1, 20, size=2)
             img = Image.from_array(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
             assert histogram(img).total() == h * w
+
+    def test_bins_are_python_ints_summing_to_pixels(self):
+        rng = np.random.default_rng(6)
+        arr = rng.integers(0, 256, size=(13, 17), dtype=np.uint8)
+        bins = histogram(gray(arr)).bins
+        assert all(type(c) is int for c in bins)
+        assert sum(bins) == 13 * 17
+        assert list(bins) == np.bincount(arr.ravel(), minlength=256).tolist()
 
     def test_rejects_rgb(self):
         img = Image(1, 1, 3, bytes([1, 2, 3]))

@@ -361,6 +361,24 @@ def line_mask(seed, h=48, w=64):
     return gray(arr)
 
 
+def row_and_column_mask(seed, side):
+    """A field-survey Otsu mask: one full row, one full column, a few stray pixels."""
+    rng = np.random.default_rng(seed)
+    h, w = (side + int(rng.integers(-8, 9)) for _ in range(2))
+    arr = np.zeros((h, w), np.uint8)
+    arr[:, int(rng.integers(4, w - 4))] = 255
+    arr[int(rng.integers(4, h - 4)), :] = 255
+    arr[rng.random((h, w)) < 0.002] = 255
+    return gray(arr)
+
+
+def sparse_strip(shape):
+    """Every other pixel of a one-row or one-column image at 255."""
+    arr = np.zeros(shape, np.uint8)
+    arr.reshape(-1)[::2] = 255
+    return gray(arr)
+
+
 class TestHoughLines:
     def test_vertical_column(self):
         arr = np.zeros((11, 11), np.uint8)
@@ -411,6 +429,34 @@ class TestHoughLines:
         for seed in range(5):
             edges = line_mask(100 + seed, 17, 23)
             assert hough_lines(edges, theta_step, 2) == hough_lines_oracle(edges, theta_step, 2)
+
+    @pytest.mark.parametrize("side", [96, 224])
+    def test_row_and_column_masks_match_oracle(self, side):
+        for seed in range(3):
+            edges = row_and_column_mask(seed, side)
+            got = hough_lines(edges, 1.0, threshold=40)
+            assert got == hough_lines_oracle(edges, 1.0, 40)
+            assert got[0].theta in (0.0, 90.0)
+            assert hough_lines(edges, 45.0, 40) == hough_lines_oracle(edges, 45.0, 40)
+
+    def test_threshold_above_every_count(self):
+        edges = row_and_column_mask(5, 96)
+        most = hough_lines(edges, 1.0, threshold=1)[0].votes
+        assert hough_lines(edges, 1.0, threshold=most) == hough_lines_oracle(edges, 1.0, most)
+        assert hough_lines(edges, 1.0, threshold=most + 1) == []
+
+    @pytest.mark.parametrize("theta_step", [1.0, 45.0])
+    def test_threshold_zero_lists_every_cell(self, theta_step):
+        edges = line_mask(7, 17, 23)
+        got = hough_lines(edges, theta_step, threshold=0)
+        assert len(got) == (2 * math.ceil(math.hypot(22, 16)) + 1) * round(180 / theta_step)
+        assert got == hough_lines_oracle(edges, theta_step, 0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1)])
+    def test_one_row_or_column_matches_oracle(self, shape):
+        edges = sparse_strip(shape)
+        for threshold in (0, 1, 3):
+            assert hough_lines(edges, 1.0, threshold) == hough_lines_oracle(edges, 1.0, threshold)
 
     def test_votes_sorted_descending(self):
         arr = np.zeros((11, 11), np.uint8)
@@ -500,6 +546,13 @@ class TestHoughCircles:
     def test_radius_beyond_image_matches_oracle(self, shape):
         edges = gray(np.full(shape, 255))
         assert hough_circles(edges, 1, 12) == hough_circles_oracle(edges, 1, 12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1)])
+    def test_one_row_or_column_matches_oracle(self, shape):
+        edges = sparse_strip(shape)
+        for threshold in (1, 2):
+            assert hough_circles(edges, 1, 6, threshold) == \
+                hough_circles_oracle(edges, 1, 6, threshold)
 
     @pytest.mark.parametrize("per_batch, r_min, r_max", [
         (3, 2, 13),   # four batches of three radii
