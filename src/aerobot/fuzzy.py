@@ -35,10 +35,9 @@ class MembershipFunction:
     def __post_init__(self):
         if len(self.points) not in (3, 4):
             raise ValueError(f"need 3 or 4 breakpoints, got {len(self.points)}")
-        if not all(map(math.isfinite, self.points)):
-            raise ValueError(f"breakpoints must be finite: {self.points}")
-        if any(b < a for a, b in zip(self.points, self.points[1:])):
-            raise ValueError(f"breakpoints must be non-decreasing: {self.points}")
+        if (not all(map(math.isfinite, self.points))
+                or any(b < a for a, b in zip(self.points, self.points[1:]))):
+            raise ValueError(f"breakpoints must be finite and non-decreasing: {self.points}")
 
     @classmethod
     def triangle(cls, a: float, b: float, c: float) -> "MembershipFunction":
@@ -78,7 +77,7 @@ class FuzzyVariable:
 
     def __post_init__(self):
         lo, hi = self.universe
-        if not -math.inf < lo < hi < math.inf:  # NaN fails every comparison
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"universe {self.universe} is empty or not finite")
         if len(self.sets) < 2:
             raise ValueError(f"variable {self.name!r} needs >= 2 labels")

@@ -142,9 +142,7 @@ def parse_pnm(data: bytes) -> Image:
     if magic in _MAGIC_ASCII:
         # only digits and whitespace may remain once comments are dropped, so
         # signs, underscores and partial tokens such as 12abc are rejected
-        body = data[pos:]
-        if b"#" in body:
-            body = _COMMENT.sub(b" ", body)
+        body = data[pos:] if data.find(b"#", pos) < 0 else _COMMENT.sub(b" ", data[pos:])
         if body.translate(None, _DIGITS_AND_SPACE):
             raise TruncatedData("raster holds a byte that is neither a digit nor whitespace")
         if body.isspace():  # fromstring would read whitespace-only text as [0]

@@ -237,10 +237,14 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     cells = np.flatnonzero(acc >= threshold)
     ri, ti = np.divmod(cells, n_theta)
     # summed residuals rank equal-vote cells, the most concentrated theta first;
-    # only theta columns holding a hit are summed, into (rho, column) slots
+    # a fifth or fewer hit theta columns are gathered into (rho, column) slots
     cols, ci = np.unique(ti, return_inverse=True)
-    slots = flat[:, cols] // n_theta * len(cols) + np.arange(len(cols))
-    spread = np.bincount(slots.ravel(), weights=np.abs(exact[:, cols]).ravel(),
+    if 5 * len(cols) > n_theta:  # gathering more would cost more than it saves
+        cols, ci = np.arange(n_theta), ti
+    else:
+        flat = flat[:, cols] // n_theta * len(cols) + np.arange(len(cols))
+        exact = exact[:, cols]
+    spread = np.bincount(flat.ravel(), weights=np.abs(exact, out=exact).ravel(),
                          minlength=(2 * diag + 1) * len(cols))
     # cell index order is (rho, theta) order, the last tie-break
     order = np.lexsort((cells, spread[ri * len(cols) + ci], -acc[cells]))

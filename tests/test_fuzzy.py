@@ -348,8 +348,9 @@ class TestSystemJson:
         lambda d: d["inputs"][0]["universe"].__setitem__(0, -math.inf),
         lambda d: d["outputs"][0]["universe"].__setitem__(0, math.nan),
         lambda d: d["outputs"][0]["sets"]["large"].update(points=[5.0, 9.0, 10 ** 400]),
+        lambda d: d["outputs"][0]["universe"].__setitem__(1, 10 ** 400),
     ], ids=["sets-list", "set-list", "nan-apex", "nan-foot", "inf-universe", "minus-inf-universe",
-            "nan-universe", "huge-point"])
+            "nan-universe", "huge-point", "huge-universe"])
     def test_rejects_malformed_or_non_finite_documents(self, edit):
         doc = json.loads(system_to_json(default_dosing_system()))
         edit(doc)

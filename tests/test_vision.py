@@ -445,6 +445,32 @@ class TestHoughLines:
         assert hough_lines(edges, 1.0, threshold=most) == hough_lines_oracle(edges, 1.0, most)
         assert hough_lines(edges, 1.0, threshold=most + 1) == []
 
+    def test_matches_oracle_with_many_or_few_hit_columns(self):
+        # the residual spread is summed over every theta column, or gathered
+        # from the hit columns when at most a fifth of them hold a hit
+        edges = gray(np.where(np.random.default_rng(11).random((40, 40)) < 0.3, 255, 0))
+        hit_columns = set()
+        for threshold in range(14, 30, 2):
+            got = hough_lines(edges, 1.0, threshold)
+            assert got == hough_lines_oracle(edges, 1.0, threshold)
+            hit_columns.add(len({h.theta for h in got}))
+        assert min(hit_columns) <= 36 < max(hit_columns) == 180
+
+    @pytest.mark.parametrize("threshold", [40, 60])
+    def test_dense_mask_bounded_memory(self, threshold):
+        # every theta column holds a hit at 40, 36 of 180 do at 60; either way
+        # no more than the rho table, its int64 cell index and the spread
+        # gathered from a fifth of the columns are alive at once
+        arr = np.where(np.random.default_rng(7).random((128, 128)) < 0.3, 255, 0)
+        table = np.count_nonzero(arr) * 180 * 8
+        tracemalloc.start()
+        try:
+            hough_lines(gray(arr), 1.0, threshold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * table
+
     @pytest.mark.parametrize("theta_step", [1.0, 45.0])
     def test_threshold_zero_lists_every_cell(self, theta_step):
         edges = line_mask(7, 17, 23)
