@@ -97,13 +97,13 @@ class SimConfig:
     def from_json(cls, text: str) -> "SimConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:  # JSONDecodeError, or an over-long integer
             raise ParseError(f"bad JSON: {exc}") from exc
         try:
             if "arm_trajectory" in doc:
                 doc["arm_trajectory"] = tuple(tuple(k) for k in doc["arm_trajectory"])
             return cls(**doc)
-        except TypeError as exc:
+        except (OverflowError, TypeError) as exc:  # OverflowError: an integer beyond float range
             raise ParseError(f"bad simulation config: {exc}") from exc
 
     def to_json(self) -> str:

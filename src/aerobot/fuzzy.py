@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 
 import numpy as np
@@ -54,7 +55,14 @@ class MembershipFunction:
         return self.points
 
     def __call__(self, x):
+        """Degree of x: a float for a Python or numpy number, else an array."""
         a, b, c, d = self._abcd()
+        if isinstance(x, (int, float)):
+            if b <= x <= c:
+                return 1.0
+            if a < x < b:
+                return (x - a) / (b - a)
+            return (d - x) / (d - c) if c < x < d else 0.0
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         if b > a:
@@ -87,7 +95,7 @@ class FuzzyVariable:
 
     def clamp(self, x):
         lo, hi = self.universe
-        return np.clip(x, lo, hi)
+        return min(max(x, lo), hi) if isinstance(x, (int, float)) else np.clip(x, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ class Rule:
 
 
 class FuzzySystem:
-    """Immutable rulebase; consequent curves are pre-sampled at construction."""
+    """Immutable rulebase; per output, one pre-sampled (labels, 1, samples) stack of curves."""
 
     def __init__(self, inputs, outputs, rules, samples: int = 201):
         if not MIN_SAMPLES <= samples <= MAX_SAMPLES:
@@ -115,14 +123,11 @@ class FuzzySystem:
             var, label = rule.consequent
             if var not in self.outputs or label not in self.outputs[var].sets:
                 raise ValueError(f"unknown consequent {var}.{label}")
-        self._grids = {}
-        self._curves = {}
+        self._stacks = {}
         for name, var in self.outputs.items():
-            lo, hi = var.universe
-            ys = np.linspace(lo, hi, samples)
-            self._grids[name] = ys
-            for label, mf in var.sets.items():
-                self._curves[(name, label)] = mf(ys)
+            ys = np.linspace(*var.universe, samples)
+            curves = np.array([mf(ys) for mf in var.sets.values()])[:, None, :]
+            self._stacks[name] = ys, tuple(var.sets), curves
 
 
 def fuzzify(variable: FuzzyVariable, x: float) -> dict:
@@ -132,37 +137,36 @@ def fuzzify(variable: FuzzyVariable, x: float) -> dict:
 
 
 def _infer_batch(system: FuzzySystem, values: dict) -> dict:
-    """Mamdani inference over aligned input arrays; returns crisp arrays."""
-    arrays = {}
-    batch = None
+    """Mamdani inference over aligned input arrays, or one row of floats; returns crisp arrays.
+
+    Each consequent label is clipped once, at the largest firing degree of its
+    rules, since max_r min(h_r, c) = min(max_r h_r, c).
+    """
+    inputs = {}
     for name, var in system.inputs.items():
         if name not in values:
             raise ValueError(f"missing input {name!r}")
-        arr = np.atleast_1d(np.asarray(values[name], dtype=np.float64))
-        arrays[name] = var.clamp(arr)
-        if batch is None:
-            batch = arr.shape[0]
-        elif arr.shape[0] != batch:
-            raise ValueError("input arrays must share one length")
-
-    degrees = []
-    for rule in system.rules:
-        deg = np.ones(batch)
-        for var, label in rule.antecedents:
-            deg = np.minimum(deg, system.inputs[var].sets[label](arrays[var]))
-        degrees.append(deg)
+        inputs[name] = var.clamp(values[name])
+    shapes = {getattr(x, "shape", ()) for x in inputs.values()}
+    if len(shapes) > 1:
+        raise ValueError("input arrays must share one length")
+    shape = shapes.pop()
+    lower, upper = (np.minimum, np.maximum) if shape else (min, max)
+    degrees = {(name, label): mf(inputs[name])
+               for name, var in system.inputs.items() for label, mf in var.sets.items()}
 
     crisp = {}
-    for name in system.outputs:
-        ys = system._grids[name]
-        agg = np.zeros((batch, system.samples))
-        for rule, deg in zip(system.rules, degrees):
-            if rule.consequent[0] != name:
-                continue
-            curve = system._curves[(name, rule.consequent[1])]
-            np.maximum(agg, np.minimum(deg[:, None], curve[None, :]), out=agg)
+    for name, (ys, labels, curves) in system._stacks.items():
+        heights = [np.zeros(shape) if shape else 0.0] * len(labels)
+        for rule in system.rules:
+            if rule.consequent[0] == name:
+                j = labels.index(rule.consequent[1])
+                fired = reduce(lower, (degrees[a] for a in rule.antecedents))
+                heights[j] = upper(heights[j], fired)
+        clipped = np.minimum(np.array(heights).reshape(len(labels), -1, 1), curves)
+        agg = clipped.max(axis=0)
         mass = agg.sum(axis=1)
-        if np.any(mass == 0.0):
+        if not mass.all():  # mass is never negative
             raise NoRuleFired(f"no rule fired for output {name!r}")
         crisp[name] = (agg @ ys) / mass
     return crisp
@@ -170,7 +174,7 @@ def _infer_batch(system: FuzzySystem, values: dict) -> dict:
 
 def infer(system: FuzzySystem, values: dict) -> dict:
     """Crisp centroid output per output variable for one set of crisp inputs."""
-    batch = _infer_batch(system, {k: [v] for k, v in values.items()})
+    batch = _infer_batch(system, {k: float(v) for k, v in values.items()})
     return {name: float(arr[0]) for name, arr in batch.items()}
 
 
@@ -342,7 +346,7 @@ def _antisymmetric(magnitudes: np.ndarray) -> np.ndarray:
     return np.concatenate([diff, -diff], axis=1)
 
 
-_CHUNK_ROWS = 16384  # caps the (rows, samples) aggregation matrix
+_CHUNK_ROWS = 8192  # caps the (labels, rows, samples) clipped curve stack
 
 
 def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:

@@ -123,6 +123,28 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(tok), pos
 
 
+def _decimal_samples(body: bytes, count: int) -> np.ndarray:
+    """The first count tokens of body, which holds only digits and whitespace.
+
+    A sample is its token's last three digits, whitespace reading as a zero
+    digit; a non-zero digit followed by three more digits is 1000 or more.
+    """
+    # two spaces give every token two bytes ahead of it; one ends the last token
+    d = np.frombuffer(b"".join((b"  ", body, b" ")), np.uint8)
+    digit = d >= 48  # every other byte left is whitespace
+    ends = np.flatnonzero(digit[2:-1] > digit[3:])[:count]  # token ends, as d[2:] offsets
+    if len(ends) < count:
+        raise TruncatedData(f"raster has {len(ends)} of {count} samples")
+    n = ends[-1] + 3
+    head = digit[:n]
+    if np.any((d[:n - 3] > 48) & head[1:-2] & head[2:-1] & head[3:]):
+        raise TruncatedData("raster holds a sample of 1000 or more")
+    v = (d - 48) * digit  # digit values, whitespace reads as 0
+    pairs = v[1:] + v[:-1] * np.uint8(10)  # last two digits of the token ending at d[i + 1]
+    pairs *= digit[1:]
+    return v[2:][ends] + pairs[ends] * np.uint16(10)
+
+
 def parse_pnm(data: bytes) -> Image:
     """Decode a P2/P3 (ASCII) or P5/P6 (binary) image, maxval <= 255."""
     magic = data[:2]
@@ -145,11 +167,7 @@ def parse_pnm(data: bytes) -> Image:
         body = data[pos:] if data.find(b"#", pos) < 0 else _COMMENT.sub(b" ", data[pos:])
         if body.translate(None, _DIGITS_AND_SPACE):
             raise TruncatedData("raster holds a byte that is neither a digit nor whitespace")
-        if body.isspace():  # fromstring would read whitespace-only text as [0]
-            body = b""
-        # overlong tokens saturate at the int64 maximum and fail the maxval
-        # check; values after the first count are ignored
-        values = np.fromstring(body, np.int64, sep=" ")[:count]
+        values = _decimal_samples(body, count)
     else:
         # exactly one whitespace byte separates the header from the raster
         if pos >= len(data) or not data[pos:pos + 1].isspace():

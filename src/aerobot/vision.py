@@ -192,7 +192,7 @@ def _reflect_convolve(arr: np.ndarray, kernel_shape: tuple, spectrum: np.ndarray
     kh, kw = kernel_shape
     ry, rx = kh // 2, kw // 2
     products = spectrum * np.fft.rfft2(np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric"))
-    rows = np.fft.ifft(products, axis=-2)[..., kh - 1:, :]
+    rows = np.fft.ifft(products, axis=-2, out=products)[..., kh - 1:, :]
     return np.fft.irfft(rows, n=arr.shape[1] + kw - 1, axis=-1)[..., kw - 1:]
 
 

@@ -305,6 +305,19 @@ class TestSimulate:
         assert err.startswith("error: ConfigInvalid: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"duration_s": 1' + "0" * 5000 + "}",
+        '{"duration_s": 1' + "0" * 400 + "}",
+    ], ids=["deep", "long-int", "huge-int"])
+    def test_unreadable_config(self, capsys, tmp_path, text):
+        path = tmp_path / "sim.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParseError: ")
+
     def test_non_boolean_controller(self, capsys, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text('{"controller": "yes", "duration_s": 0.01}')

@@ -225,6 +225,16 @@ class TestSimulate:
         with pytest.raises(ConfigInvalid, match="budget"):
             SimConfig(dt_s=1e-3, duration_s=(MAX_STEPS + 1) * 1e-3)
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"duration_s": 1' + "0" * 5000 + "}",
+        '{"duration_s": 1' + "0" * 400 + "}",
+        '{"arm_trajectory": [[0.0, 1' + "0" * 400 + ', 1.0]]}',
+    ], ids=["deep", "long-int", "huge-int", "huge-keyframe"])
+    def test_unreadable_config_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            SimConfig.from_json(text)
+
     def test_config_json_errors(self):
         with pytest.raises(ParseError):
             SimConfig.from_json("{bad")

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from aerobot import fuzzy
 from aerobot.errors import NoRuleFired, ParseError
 from aerobot.fuzzy import (
     MAX_SAMPLES,
@@ -14,6 +15,7 @@ from aerobot.fuzzy import (
     MembershipFunction,
     Rule,
     arm_compensation_deltas,
+    arm_compensation_system,
     default_dosing_system,
     deltas_csv,
     fuzzify,
@@ -23,6 +25,7 @@ from aerobot.fuzzy import (
     system_from_json,
     system_to_json,
     tilt_compensation_deltas,
+    tilt_compensation_system,
 )
 
 
@@ -381,3 +384,212 @@ class TestSystemJson:
         }
         system = system_from_json(json.dumps(doc))
         assert pesticide_dose(0.9, system) == pytest.approx(4.0, abs=1e-9)
+
+
+# The earlier engine, kept as an oracle ------------------------------------------
+
+def infer_batch_oracle(system, values):
+    """Per-rule Mamdani: a (rows, samples) max-min pass for every rule."""
+    arrays = {}
+    batch = None
+    for name, var in system.inputs.items():
+        arr = np.atleast_1d(np.asarray(values[name], dtype=np.float64))
+        arrays[name] = np.clip(arr, *var.universe)
+        batch = arr.shape[0]
+    degrees = []
+    for rule in system.rules:
+        deg = np.ones(batch)
+        for var, label in rule.antecedents:
+            deg = np.minimum(deg, system.inputs[var].sets[label](arrays[var]))
+        degrees.append(deg)
+    crisp = {}
+    for name, var in system.outputs.items():
+        ys = np.linspace(*var.universe, system.samples)
+        agg = np.zeros((batch, system.samples))
+        for rule, deg in zip(system.rules, degrees):
+            if rule.consequent[0] == name:
+                curve = var.sets[rule.consequent[1]](ys)
+                np.maximum(agg, np.minimum(deg[:, None], curve[None, :]), out=agg)
+        mass = agg.sum(axis=1)
+        if np.any(mass == 0.0):
+            raise NoRuleFired(f"no rule fired for output {name!r}")
+        crisp[name] = (agg @ ys) / mass
+    return crisp
+
+
+def infer_oracle(system, values):
+    batch = infer_batch_oracle(system, {k: [v] for k, v in values.items()})
+    return {name: float(arr[0]) for name, arr in batch.items()}
+
+
+def arm_deltas_oracle(azimuths, extensions, chunk_rows=16384):
+    az = np.asarray(azimuths, dtype=np.float64) % 360.0
+    proximity = fuzzy._angular_distance(az).reshape(-1)
+    extension = np.repeat(np.asarray(extensions, dtype=np.float64), N_ROTORS)
+    mags = np.concatenate([
+        infer_batch_oracle(arm_compensation_system(), {
+            "proximity": proximity[start:start + chunk_rows],
+            "extension": extension[start:start + chunk_rows],
+        })["lift"]
+        for start in range(0, len(proximity), chunk_rows)])
+    return fuzzy._antisymmetric(mags.reshape(-1, N_ROTORS))
+
+
+def tilt_deltas_oracle(roll, pitch):
+    azimuth = math.degrees(math.atan2(-roll, pitch)) % 360.0
+    mags = infer_batch_oracle(tilt_compensation_system(), {
+        "proximity": fuzzy._angular_distance(np.array([azimuth])).reshape(-1),
+        "tilt": np.full(N_ROTORS, math.hypot(roll, pitch)),
+    })["lift"]
+    return fuzzy._antisymmetric(mags.reshape(1, N_ROTORS))[0]
+
+
+def random_points(rng, lo, hi):
+    """3 or 4 breakpoints on a coarse grid, so ties (vertical edges, spikes) are common."""
+    grid = np.linspace(lo, hi, int(rng.integers(3, 9)))
+    return tuple(float(v) for v in np.sort(rng.choice(grid, size=int(rng.choice([3, 4])))))
+
+
+def random_variable(rng, name, n_labels):
+    lo = float(rng.uniform(-5.0, 5.0))
+    hi = lo + float(rng.uniform(0.5, 10.0))
+    sets = {f"{name}{i}": MembershipFunction(random_points(rng, lo, hi)) for i in range(n_labels)}
+    return FuzzyVariable(name, (lo, hi), sets)
+
+
+def random_system(rng):
+    """Two inputs, one or two outputs, rules with one or two antecedents."""
+    inputs = [random_variable(rng, n, int(rng.integers(2, 5))) for n in ("a", "b")]
+    outputs = [random_variable(rng, n, int(rng.integers(2, 4)))
+               for n in ("y", "z")[:int(rng.integers(1, 3))]]
+    rules = []
+    for _ in range(int(rng.integers(2, 9))):
+        picks = rng.permutation(len(inputs))[:int(rng.integers(1, 3))]
+        antecedents = tuple((inputs[i].name, str(rng.choice(list(inputs[i].sets)))) for i in picks)
+        out = outputs[int(rng.integers(len(outputs)))]
+        rules.append(Rule(antecedents, (out.name, str(rng.choice(list(out.sets))))))
+    return FuzzySystem(inputs, outputs, rules, samples=int(rng.integers(51, 302)))
+
+
+def seeded_dosing_system(rng):
+    """A dosing rulebase with seeded peaks, shaped like the shipped one."""
+    peak = float(rng.uniform(0.35, 0.65))
+    top = float(rng.uniform(8.0, 12.0))
+    mid = float(rng.uniform(0.4, 0.6)) * top
+    tri = MembershipFunction.triangle
+    density = FuzzyVariable("green_density", (0.0, 1.0), {
+        "sparse": tri(0.0, 0.0, peak), "patchy": tri(0.0, peak, 1.0), "dense": tri(peak, 1.0, 1.0)})
+    dose = FuzzyVariable("dose", (0.0, top), {
+        "low": tri(0.0, 0.1 * top, mid), "mid": tri(0.1 * top, mid, 0.9 * top),
+        "high": tri(mid, 0.9 * top, top)})
+    rules = [Rule((("green_density", a),), ("dose", b))
+             for a, b in (("sparse", "low"), ("patchy", "mid"), ("dense", "high"))]
+    return FuzzySystem([density], [dose], rules)
+
+
+def outcome(call):
+    try:
+        return call()
+    except NoRuleFired:
+        return NoRuleFired
+
+
+class TestEngineMatchesPerRuleOracle:
+    def test_dose_on_the_dosing_system(self):
+        system = default_dosing_system()
+        densities = np.concatenate([np.linspace(0.0, 1.0, 2001),
+                                    np.random.default_rng(40).random(2000)])
+        for d in densities.tolist():
+            assert pesticide_dose(d) == infer_oracle(system, {"green_density": d})["dose"]
+
+    def test_dose_on_seeded_rulebases(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            system = seeded_dosing_system(rng)
+            for d in np.concatenate([[0.0, 1.0], rng.random(50)]).tolist():
+                expected = infer_oracle(system, {"green_density": d})["dose"]
+                assert pesticide_dose(d, system) == expected
+
+    def test_random_systems_one_row_and_batch(self):
+        rng = np.random.default_rng(42)
+        batches = no_rule = 0
+        for _ in range(200):
+            system = random_system(rng)
+            rows = {name: rng.uniform(var.universe[0] - 1.0, var.universe[1] + 1.0, 12)
+                    for name, var in system.inputs.items()}
+            fired = []
+            for i in range(12):
+                query = {name: float(arr[i]) for name, arr in rows.items()}
+                got = outcome(lambda: infer(system, query))
+                assert got == outcome(lambda: infer_oracle(system, query))
+                fired.append(got is not NoRuleFired)
+            if not all(fired):  # one silent row fails the whole batch in both
+                no_rule += 1
+                with pytest.raises(NoRuleFired):
+                    fuzzy._infer_batch(system, rows)
+            rows = {name: arr[fired] for name, arr in rows.items()}
+            if len(rows["a"]):
+                got, expected = fuzzy._infer_batch(system, rows), infer_batch_oracle(system, rows)
+                assert got.keys() == expected.keys()
+                assert all(np.array_equal(got[k], expected[k]) for k in got)
+                batches += 1
+        assert batches > 100 and no_rule > 50  # both outcomes are exercised
+
+    def test_trapezoids_spikes_and_two_antecedents(self):
+        x = FuzzyVariable("x", (0.0, 1.0), {
+            "edge": MembershipFunction.trapezoid(0.0, 0.0, 0.25, 0.5),
+            "plateau": MembershipFunction.trapezoid(0.25, 0.5, 0.75, 1.0),
+            "spike": MembershipFunction.triangle(0.5, 0.5, 0.5),
+            "high": MembershipFunction.trapezoid(0.5, 1.0, 1.0, 1.0),
+        })
+        u = FuzzyVariable("u", (-1.0, 1.0), {
+            "neg": MembershipFunction.triangle(-1.0, -1.0, 0.0),
+            "pos": MembershipFunction.trapezoid(-0.5, 0.5, 1.0, 1.0),
+        })
+        y = FuzzyVariable("y", (0.0, 10.0), {
+            "zero": MembershipFunction.triangle(0.0, 0.0, 0.0),
+            "step": MembershipFunction.trapezoid(2.0, 2.0, 6.0, 7.0),
+            "top": MembershipFunction.triangle(8.0, 10.0, 10.0),
+        })
+        system = FuzzySystem([x, u], [y], [
+            Rule((("x", "edge"), ("u", "neg")), ("y", "zero")),
+            Rule((("x", "plateau"), ("u", "pos")), ("y", "step")),
+            Rule((("x", "spike"),), ("y", "top")),
+            Rule((("u", "pos"), ("x", "edge")), ("y", "step")),
+            Rule((("x", "high"),), ("y", "top")),
+        ], samples=101)
+        xs, us = np.meshgrid(np.linspace(-0.1, 1.1, 49), np.linspace(-1.2, 1.2, 25))
+        rows = {"x": xs.ravel(), "u": us.ravel()}
+        expected = infer_batch_oracle(system, rows)["y"]
+        assert np.array_equal(fuzzy._infer_batch(system, rows)["y"], expected)
+        for x_, u_ in zip(rows["x"].tolist(), rows["u"].tolist()):
+            assert infer(system, {"x": x_, "u": u_}) == infer_oracle(system, {"x": x_, "u": u_})
+
+    def test_no_rule_fired_in_both(self):
+        system = single_output_system(
+            {"mid": MembershipFunction.triangle(0.25, 0.5, 0.75),
+             "unused": MembershipFunction.triangle(0.0, 0.0, 0.25)},
+            [Rule((("x", "hi"),), ("y", "mid"))],
+        )
+        for engine in (infer, infer_oracle):
+            with pytest.raises(NoRuleFired):
+                engine(system, {"x": 0.25})
+        for engine in (fuzzy._infer_batch, infer_batch_oracle):
+            with pytest.raises(NoRuleFired):
+                engine(system, {"x": np.array([0.9, 0.25])})
+
+    def test_arm_deltas_across_chunks(self):
+        rng = np.random.default_rng(43)
+        n = 2 * 16384 // N_ROTORS + 77  # crosses the old and the new chunk boundaries
+        azimuths = np.concatenate([rng.uniform(-720.0, 720.0, n - 16), 45.0 * np.arange(16)])
+        extensions = np.concatenate([rng.random(n - 4), [0.0, 0.0, 1.0, 1.0]])
+        assert np.array_equal(arm_compensation_deltas(azimuths, extensions),
+                              arm_deltas_oracle(azimuths, extensions))
+
+    def test_tilt_deltas(self):
+        rng = np.random.default_rng(44)
+        tilts = np.concatenate([rng.uniform(-0.6, 0.6, (2000, 2)),
+                                [[0.0, 1e-3], [0.06, 0.0], [0.0, -0.12], [0.3, 0.3], [1e-12, 0.0]]])
+        for roll, pitch in tilts.tolist():
+            assert np.array_equal(tilt_compensation_deltas(roll, pitch),
+                                  tilt_deltas_oracle(roll, pitch))

@@ -76,6 +76,69 @@ def scrambled_ascii(rng, img: Image, maxval: int) -> bytes:
     return magic + b"".join(gap() + f for f in fields) + (gap() if rng.random() < 0.5 else b"")
 
 
+def parse_fromstring_oracle(data: bytes) -> Image:
+    """The earlier P2/P3 decoder: np.fromstring over the comment-free raster."""
+    channels = {b"P2": 1, b"P3": 3}[data[:2]]
+    width, pos = raster._int_token(data, 2, "width")
+    height, pos = raster._int_token(data, pos, "height")
+    maxval, pos = raster._int_token(data, pos, "maxval")
+    count = width * height * channels
+    body = raster._COMMENT.sub(b" ", data[pos:])
+    if body.translate(None, raster._DIGITS_AND_SPACE):
+        raise TruncatedData("raster holds a byte that is neither a digit nor whitespace")
+    if body.isspace():  # fromstring would read whitespace-only text as [0]
+        body = b""
+    # overlong tokens saturate at the int64 maximum and fail the maxval check
+    values = np.fromstring(body, np.int64, sep=" ")[:count]
+    if len(values) < count:
+        raise TruncatedData(f"raster has {len(values)} of {count} samples")
+    if int(values.max()) > maxval:
+        raise TruncatedData(f"sample {int(values.max())} outside 0..{maxval}")
+    return Image(width, height, channels, values.astype(np.uint8).tobytes())
+
+
+def odd_token(rng, maxval: int) -> bytes:
+    """A sample token the decoder must reject, or one of its zero-padded look-alikes."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:  # above maxval, below 1000
+        return str(int(rng.integers(maxval + 1, 1000))).encode() if maxval < 999 else b"1000"
+    if kind == 1:  # 1000 or more, 4 to 7 digits
+        return str(int(rng.integers(1000, 10**7))).encode()
+    if kind == 2:  # beyond int64, 20 to 30 digits
+        size = int(rng.integers(20, 31))
+        return bytes([int(rng.integers(49, 58))]) + bytes(rng.integers(48, 58, size - 1).tolist())
+    if kind == 3:  # zero-padded 1000 or more
+        return b"0" * int(rng.integers(1, 4)) + str(int(rng.integers(1000, 10**5))).encode()
+    # zero padding alone, up to 30 digits: legal
+    return b"0" * int(rng.integers(1, 28)) + str(int(rng.integers(0, maxval + 1))).encode()
+
+
+def scrambled_raster(rng) -> bytes:
+    """Random P2/P3 text: padded samples, odd tokens, extra tokens, comments, blank rasters."""
+    def gap():
+        run = b"".join(rng.choice(_WHITESPACE) for _ in range(rng.integers(0, 3)))
+        if rng.random() < 0.2:
+            run += b"#" + bytes(rng.integers(32, 127, int(rng.integers(0, 6))).tolist()) + b"\n"
+        return run or b" "
+
+    magic = b"P2" if rng.random() < 0.5 else b"P3"
+    w, h = (int(v) for v in rng.integers(1, 4, size=2))
+    maxval = int(rng.integers(1, 256))
+    count = w * h * (1 if magic == b"P2" else 3)
+    tokens = [b"0" * int(rng.integers(0, 6)) + str(int(rng.integers(0, maxval + 1))).encode()
+              for _ in range(count + int(rng.integers(-2, 4)))]
+    mode = rng.random()
+    if mode < 0.3 and tokens:  # an odd token anywhere, inside or after the samples
+        tokens[int(rng.integers(len(tokens)))] = odd_token(rng, maxval)
+    elif mode < 0.45:  # a large value after the last sample
+        tokens = tokens[:count] + [odd_token(rng, maxval)]
+    elif mode < 0.55:  # a blank or comment-only raster
+        tokens = []
+    header = [magic, str(w).encode(), str(h).encode(), str(maxval).encode()]
+    tail = gap() if rng.random() < 0.5 else b""
+    return header[0] + b"".join(gap() + t for t in header[1:] + tokens) + tail
+
+
 class TestParse:
     def test_p5_binary(self):
         img = parse_pnm(b"P5\n2 1\n255\n" + bytes([0, 255]))
@@ -202,6 +265,46 @@ class TestAsciiDecoder:
             img = Image.from_array(rng.integers(0, maxval + 1, size=shape, dtype=np.uint8))
             data = scrambled_ascii(rng, img, maxval)
             assert parse_pnm(data) == parse_ascii_oracle(data) == img
+
+    def test_matches_fromstring_oracle_on_scrambled_files(self):
+        rng = np.random.default_rng(7)
+        decoded = rejected = 0
+        for _ in range(1500):
+            data = scrambled_raster(rng)
+            try:
+                expected = parse_fromstring_oracle(data)
+            except TruncatedData:
+                with pytest.raises(TruncatedData):
+                    parse_pnm(data)
+                rejected += 1
+            else:
+                assert parse_pnm(data) == expected
+                decoded += 1
+        assert decoded > 500 and rejected > 500
+
+    @pytest.mark.parametrize("body, samples", [
+        (b"0255 000000007", [255, 7]),
+        (b"000000000000000000000000000009 0", [9, 0]),
+        (b"0000999 1", None),   # 999 > maxval
+        (b"1000 1", None),
+        (b"00001000 1", None),
+        (b"1 99999999999999999999999", None),
+        (b"1 2 1000", [1, 2]),  # the third token is past the last sample
+        (b"1 2 99999999999999999999999", [1, 2]),
+        (b"\n\t \x0b\x0c\r", None),
+        (b"# 1000 2 3\n", None),
+        (b"4#1000\n5 # 99999", [4, 5]),
+    ])
+    def test_value_rule(self, body, samples):
+        data = b"P2\n2 1\n255\n" + body
+        if samples is None:
+            with pytest.raises(TruncatedData):
+                parse_pnm(data)
+            with pytest.raises(TruncatedData):
+                parse_fromstring_oracle(data)
+        else:
+            assert list(parse_pnm(data).samples) == samples
+            assert parse_fromstring_oracle(data) == parse_pnm(data)
 
     def test_rejections_match_oracle(self):
         rng = np.random.default_rng(5)

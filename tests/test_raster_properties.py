@@ -40,11 +40,12 @@ def test_arbitrary_raster_raises_only_aerobot_errors(magic, w, h, maxval, body):
 
 @settings(deadline=None)
 @given(st.sampled_from([b"P2", b"P3"]), st.integers(1, 3), st.integers(1, 3),
-       st.integers(1, 255), st.lists(st.integers(0, 255), max_size=30),
+       st.integers(1, 255), st.lists(st.integers(0, 10**6), max_size=30),
        st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#c\n"]),
-                min_size=31, max_size=31))
-def test_ascii_raster_is_first_count_tokens(magic, w, h, maxval, values, gaps):
-    body = b"".join(g + str(v).encode() for g, v in zip(gaps, values))
+                min_size=31, max_size=31),
+       st.lists(st.integers(0, 6), min_size=30, max_size=30))
+def test_ascii_raster_is_first_count_tokens(magic, w, h, maxval, values, gaps, pads):
+    body = b"".join(g + b"0" * z + str(v).encode() for g, z, v in zip(gaps, pads, values))
     data = magic + f"\n{w} {h}\n{maxval}\n".encode() + body
     count = w * h * (1 if magic == b"P2" else 3)
     head = values[:count]
