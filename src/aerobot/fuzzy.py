@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, lru_cache, reduce
 from importlib import resources
 
 import numpy as np
@@ -123,11 +123,22 @@ class FuzzySystem:
             var, label = rule.consequent
             if var not in self.outputs or label not in self.outputs[var].sets:
                 raise ValueError(f"unknown consequent {var}.{label}")
-        self._stacks = {}
-        for name, var in self.outputs.items():
-            ys = np.linspace(*var.universe, samples)
-            curves = np.array([mf(ys) for mf in var.sets.values()])[:, None, :]
-            self._stacks[name] = ys, tuple(var.sets), curves
+        self._stacks = {name: (tuple(var.sets),) + _curve_stack(
+            tuple(var.universe), tuple(tuple(mf._abcd()) for mf in var.sets.values()), samples)
+            for name, var in self.outputs.items()}
+
+
+@lru_cache(maxsize=64, typed=True)
+def _curve_stack(universe: tuple, abcds: tuple, samples: int) -> tuple:
+    """Read-only sample grid and (labels, 1, samples) curves, in one broadcast of the
+    pieces of `MembershipFunction.__call__`; a zero-width edge's 0/0 is never picked."""
+    ys = np.linspace(*universe, samples)
+    a, b, c, d = np.array(abcds, dtype=np.float64).T[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curves = np.select([(ys > a) & (ys < b), (ys >= b) & (ys <= c), (ys > c) & (ys < d)],
+                           [(ys - a) / (b - a), 1.0, (d - ys) / (d - c)])[:, None, :]
+    ys.flags.writeable = curves.flags.writeable = False
+    return ys, curves
 
 
 def fuzzify(variable: FuzzyVariable, x: float) -> dict:
@@ -156,7 +167,7 @@ def _infer_batch(system: FuzzySystem, values: dict) -> dict:
                for name, var in system.inputs.items() for label, mf in var.sets.items()}
 
     crisp = {}
-    for name, (ys, labels, curves) in system._stacks.items():
+    for name, (labels, ys, curves) in system._stacks.items():
         heights = [np.zeros(shape) if shape else 0.0] * len(labels)
         for rule in system.rules:
             if rule.consequent[0] == name:
@@ -245,16 +256,10 @@ def system_from_json(text: str) -> FuzzySystem:
 
 # Pesticide dosing -----------------------------------------------------------
 
-_dosing_system = None
-
-
+@cache
 def default_dosing_system() -> FuzzySystem:
     """Dosing rulebase shipped in assets/dosing.json (replaceable by file)."""
-    global _dosing_system
-    if _dosing_system is None:
-        text = resources.files("aerobot.assets").joinpath("dosing.json").read_text()
-        _dosing_system = system_from_json(text)
-    return _dosing_system
+    return system_from_json(resources.files("aerobot.assets").joinpath("dosing.json").read_text())
 
 
 def pesticide_dose(density: float, system: FuzzySystem | None = None) -> float:
@@ -274,10 +279,6 @@ _ARM_DELTA_MAX_N = 5.0
 _TILT_DELTA_MAX_N = 4.2
 _TILT_UNIVERSE_RAD = 0.5
 
-_arm_system = None
-_tilt_system = None
-
-
 def _proximity_variable() -> FuzzyVariable:
     return FuzzyVariable("proximity", (0.0, 180.0), {
         "near": MembershipFunction.triangle(0.0, 0.0, 112.5),
@@ -293,44 +294,40 @@ def _lift_variable(name: str, top: float, apex: float, halfwidth: float) -> Fuzz
     })
 
 
+@cache
 def arm_compensation_system() -> FuzzySystem:
     """Rotor lift boost from arm proximity (near/far) and extension (short/long)."""
-    global _arm_system
-    if _arm_system is None:
-        proximity = _proximity_variable()
-        extension = FuzzyVariable("extension", (0.0, 1.0), {
-            "short": MembershipFunction.triangle(0.0, 0.0, 1.0),
-            "long": MembershipFunction.triangle(0.0, 1.0, 1.0),
-        })
-        lift = _lift_variable("lift", _ARM_DELTA_MAX_N, 2.3, 2.0)
-        rules = (
-            Rule((("proximity", "near"), ("extension", "long")), ("lift", "boost")),
-            Rule((("proximity", "near"), ("extension", "short")), ("lift", "none")),
-            Rule((("proximity", "far"), ("extension", "long")), ("lift", "none")),
-            Rule((("proximity", "far"), ("extension", "short")), ("lift", "none")),
-        )
-        _arm_system = FuzzySystem([proximity, extension], [lift], rules)
-    return _arm_system
+    proximity = _proximity_variable()
+    extension = FuzzyVariable("extension", (0.0, 1.0), {
+        "short": MembershipFunction.triangle(0.0, 0.0, 1.0),
+        "long": MembershipFunction.triangle(0.0, 1.0, 1.0),
+    })
+    lift = _lift_variable("lift", _ARM_DELTA_MAX_N, 2.3, 2.0)
+    rules = (
+        Rule((("proximity", "near"), ("extension", "long")), ("lift", "boost")),
+        Rule((("proximity", "near"), ("extension", "short")), ("lift", "none")),
+        Rule((("proximity", "far"), ("extension", "long")), ("lift", "none")),
+        Rule((("proximity", "far"), ("extension", "short")), ("lift", "none")),
+    )
+    return FuzzySystem([proximity, extension], [lift], rules)
 
 
+@cache
 def tilt_compensation_system() -> FuzzySystem:
     """Rotor lift boost from tilt magnitude (flat/tilted) and correction proximity."""
-    global _tilt_system
-    if _tilt_system is None:
-        proximity = _proximity_variable()
-        tilt = FuzzyVariable("tilt", (0.0, _TILT_UNIVERSE_RAD), {
-            "flat": MembershipFunction.triangle(0.0, 0.0, 0.06),
-            "tilted": MembershipFunction.trapezoid(0.03, 0.12, 0.5, 0.5),
-        })
-        lift = _lift_variable("lift", _TILT_DELTA_MAX_N, 2.0, 2.0)
-        rules = (
-            Rule((("proximity", "near"), ("tilt", "tilted")), ("lift", "boost")),
-            Rule((("proximity", "near"), ("tilt", "flat")), ("lift", "none")),
-            Rule((("proximity", "far"), ("tilt", "tilted")), ("lift", "none")),
-            Rule((("proximity", "far"), ("tilt", "flat")), ("lift", "none")),
-        )
-        _tilt_system = FuzzySystem([proximity, tilt], [lift], rules)
-    return _tilt_system
+    proximity = _proximity_variable()
+    tilt = FuzzyVariable("tilt", (0.0, _TILT_UNIVERSE_RAD), {
+        "flat": MembershipFunction.triangle(0.0, 0.0, 0.06),
+        "tilted": MembershipFunction.trapezoid(0.03, 0.12, 0.5, 0.5),
+    })
+    lift = _lift_variable("lift", _TILT_DELTA_MAX_N, 2.0, 2.0)
+    rules = (
+        Rule((("proximity", "near"), ("tilt", "tilted")), ("lift", "boost")),
+        Rule((("proximity", "near"), ("tilt", "flat")), ("lift", "none")),
+        Rule((("proximity", "far"), ("tilt", "tilted")), ("lift", "none")),
+        Rule((("proximity", "far"), ("tilt", "flat")), ("lift", "none")),
+    )
+    return FuzzySystem([proximity, tilt], [lift], rules)
 
 
 def _angular_distance(azimuths_deg: np.ndarray) -> np.ndarray:

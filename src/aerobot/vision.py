@@ -181,6 +181,20 @@ def _kernel_spectrum(kernels: np.ndarray, image_shape: tuple) -> np.ndarray:
     return np.fft.rfft2(kernels, s=(image_shape[0] + kh - 1, image_shape[1] + kw - 1))
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _symmetric_index(n: int, r: int) -> np.ndarray:
+    """Read-only source indices of `np.pad(mode="symmetric")` for an axis of n
+    padded by r a side; the reflection has period 2n, so r > n reflects again."""
+    i = np.arange(-r, n + r) % (2 * n)
+    return _read_only(np.minimum(i, 2 * n - 1 - i))[0]
+
+
 def _reflect_convolve(arr: np.ndarray, kernel_shape: tuple, spectrum: np.ndarray) -> np.ndarray:
     """2-D convolution with edge-repeating reflect padding, by FFT.
 
@@ -190,8 +204,8 @@ def _reflect_convolve(arr: np.ndarray, kernel_shape: tuple, spectrum: np.ndarray
     transforms only the h rows that are kept.
     """
     kh, kw = kernel_shape
-    ry, rx = kh // 2, kw // 2
-    products = spectrum * np.fft.rfft2(np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric"))
+    padded = arr[np.ix_(*map(_symmetric_index, arr.shape, (kh // 2, kw // 2)))]
+    products = spectrum * np.fft.rfft2(padded)
     rows = np.fft.ifft(products, axis=-2, out=products)[..., kh - 1:, :]
     return np.fft.irfft(rows, n=arr.shape[1] + kw - 1, axis=-1)[..., kw - 1:]
 
@@ -208,6 +222,14 @@ def wavelet_response(img: Image, sigma: float, radius: int | None = None) -> Res
 
 # Hough voting ---------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _line_angles(n_theta: int, theta_step: float) -> tuple:
+    """Read-only theta (degrees), cos(theta) and sin(theta) of the line accumulator."""
+    thetas = np.arange(n_theta) * theta_step
+    rad = np.deg2rad(thetas)
+    return _read_only(thetas, np.cos(rad), np.sin(rad))
+
+
 def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> list[LineHit]:
     """Line hits from a binary edge image (edge pixels are 255).
 
@@ -223,11 +245,10 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     if len(xs) == 0:
         return []
     n_theta = int(round(180.0 / theta_step))
-    thetas = np.arange(n_theta) * theta_step
-    rad = np.deg2rad(thetas)
+    thetas, cos_t, sin_t = _line_angles(n_theta, theta_step)
     diag = int(math.ceil(math.hypot(edges.width - 1, edges.height - 1)))
-    exact = np.outer(xs, np.cos(rad))
-    exact += np.outer(ys, np.sin(rad))
+    exact = np.outer(xs, cos_t)
+    exact += np.outer(ys, sin_t)
     # cell (rho + diag) * n_theta + theta, rounded once into int64 in place
     flat = np.rint(exact, out=np.empty(exact.shape, np.int64), casting="unsafe")
     exact -= flat  # residual to the bin center
@@ -238,10 +259,12 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     ri, ti = np.divmod(cells, n_theta)
     # summed residuals rank equal-vote cells, the most concentrated theta first;
     # a fifth or fewer hit theta columns are gathered into (rho, column) slots
-    cols, ci = np.unique(ti, return_inverse=True)
+    hit = np.bincount(ti, minlength=n_theta) > 0
+    cols = np.flatnonzero(hit)
     if 5 * len(cols) > n_theta:  # gathering more would cost more than it saves
         cols, ci = np.arange(n_theta), ti
     else:
+        ci = (np.cumsum(hit) - 1)[ti]  # slot of each hit cell's column
         flat = flat[:, cols] // n_theta * len(cols) + np.arange(len(cols))
         exact = exact[:, cols]
     spread = np.bincount(flat.ravel(), weights=np.abs(exact, out=exact).ravel(),
@@ -256,6 +279,28 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
 # largest number of circle votes cast in one bincount, and of accumulator
 # cells or offsets in one batch of radii; bounds the temporaries
 _VOTE_CHUNK = 1 << 18
+
+
+@lru_cache(maxsize=32)
+def _circle_offsets(lo: int, hi: int, angle_step: float, py: int, px: int, gw: int, plane: int):
+    """How many radii of lo..hi - 1 reach a center cell, and their sorted,
+    distinct, read-only flat offsets within the stack of padded grids."""
+    angles = np.deg2rad(np.arange(0.0, 360.0, angle_step))
+    radii = np.arange(lo, hi)[:, None]
+    dy = np.rint(radii * np.sin(angles)).astype(np.int64)
+    dx = np.rint(radii * np.cos(angles)).astype(np.int64)
+    keep = (np.abs(dy) <= py) & (np.abs(dx) <= px)
+    # along each direction the rounded offset never shrinks as the radius
+    # grows, so the radii with a kept offset are a prefix of the batch and
+    # no later radius has one
+    n = int(np.count_nonzero(keep.any(axis=1)))
+    # flat offset within the stack: radius k votes into plane k
+    dy *= gw
+    dy += dx - (np.arange(hi - lo) * plane)[:, None]
+    shifts = np.sort(dy[keep])
+    # a pixel reaches each center cell through exactly one offset, so one
+    # vote per distinct offset is one vote per pixel per cell
+    return n, _read_only(shifts[np.diff(shifts, prepend=shifts[:1] - 1) != 0])[0]
 
 
 def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
@@ -277,8 +322,6 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
     if len(xs) == 0:
         return []
     w, h = edges.width, edges.height
-    angles = np.deg2rad(np.arange(0.0, 360.0, angle_step))
-    cos_a, sin_a = np.cos(angles), np.sin(angles)
     # votes go to a stack of grids, one per radius of a batch, each padded by
     # py rows and px columns on every side, so none needs a bounds check; an
     # offset longer than a whole image side never reaches a center cell and is
@@ -287,26 +330,12 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
     gw = w + 2 * px
     plane = (h + 2 * py) * gw
     cells = (ys + py) * gw + (xs + px)
-    batch = max(1, _VOTE_CHUNK // max(plane, len(angles)))
+    batch = max(1, _VOTE_CHUNK // max(plane, math.ceil(360.0 / angle_step)))
     found = []
     for lo in range(r_min, r_max + 1, batch):
-        radii = np.arange(lo, min(lo + batch, r_max + 1))
-        dy = np.rint(radii[:, None] * sin_a).astype(np.int64)
-        dx = np.rint(radii[:, None] * cos_a).astype(np.int64)
-        keep = (np.abs(dy) <= py) & (np.abs(dx) <= px)
-        # along each direction the rounded offset never shrinks as the radius
-        # grows, so the radii with a kept offset are a prefix of the batch and
-        # no later radius has one
-        n = int(np.count_nonzero(keep.any(axis=1)))
+        n, shifts = _circle_offsets(lo, min(lo + batch, r_max + 1), angle_step, py, px, gw, plane)
         if n == 0:
             break
-        # flat offset within the stack: radius k votes into plane k
-        dy *= gw
-        dy += dx - (np.arange(len(radii)) * plane)[:, None]
-        shifts = np.sort(dy[keep])
-        # a pixel reaches each center cell through exactly one offset, so one
-        # vote per distinct offset is one vote per pixel per cell
-        shifts = shifts[np.append(True, shifts[1:] != shifts[:-1])]
         step = max(1, _VOTE_CHUNK // len(shifts))
         counts = (np.bincount((cells[i:i + step, None] - shifts).ravel(), minlength=n * plane)
                   for i in range(0, len(cells), step))
@@ -315,7 +344,7 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
             acc += more
         acc = acc.reshape(n, h + 2 * py, gw)[:, py:py + h, px:px + w]
         ks, cys, cxs = np.nonzero(acc >= threshold)
-        found.append(np.stack((cxs, cys, radii[ks], acc[ks, cys, cxs])))
+        found.append(np.stack((cxs, cys, lo + ks, acc[ks, cys, cxs])))
     if not found:
         return []
     hits = np.concatenate(found, axis=1)
@@ -366,8 +395,7 @@ def _gabor_spectra(params: tuple, image_shape: tuple) -> tuple:
     for shape in dict.fromkeys(k.shape for k in kernels):
         members = tuple(i for i, k in enumerate(kernels) if k.shape == shape)
         spectrum = _kernel_spectrum(np.stack([kernels[i] for i in members]), image_shape)
-        spectrum.flags.writeable = False
-        groups.append((members, shape, spectrum))
+        groups.append((members, shape) + _read_only(spectrum))
     return tuple(groups)
 
 

@@ -593,3 +593,80 @@ class TestEngineMatchesPerRuleOracle:
         for roll, pitch in tilts.tolist():
             assert np.array_equal(tilt_compensation_deltas(roll, pitch),
                                   tilt_deltas_oracle(roll, pitch))
+
+
+def per_label_stack(var, samples):
+    """The earlier curve stack: each label's MembershipFunction called on the grid."""
+    ys = np.linspace(*var.universe, samples)
+    return ys, np.array([mf(ys) for mf in var.sets.values()])[:, None, :]
+
+
+def system_with_output(out, samples=201):
+    rules = [Rule((("x", "lo"),), (out.name, label)) for label in out.sets]
+    return FuzzySystem([unit_variable()], [out], rules, samples=samples)
+
+
+class TestCurveStacks:
+    SHAPES = {
+        "triangle": MembershipFunction.triangle(0.5, 2.0, 3.5),
+        "trapezoid": MembershipFunction.trapezoid(1.0, 1.5, 3.0, 4.5),
+        "rising_wall": MembershipFunction.triangle(0.0, 0.0, 2.5),
+        "falling_wall": MembershipFunction.trapezoid(2.0, 3.0, 5.0, 5.0),
+        "step": MembershipFunction.trapezoid(1.0, 1.0, 2.0, 2.0),
+        "spike_at_zero": MembershipFunction.triangle(0.0, 0.0, 0.0),
+        "spike_inside": MembershipFunction.triangle(2.2, 2.2, 2.2),
+        "int_triangle": MembershipFunction((0, 2, 5)),
+        "int_trapezoid": MembershipFunction((1, 2, 3, 4)),
+    }
+
+    @pytest.mark.parametrize("samples", [51, 201, 1000, 4097])
+    def test_broadcast_equals_per_label_bit_for_bit(self, samples):
+        out = FuzzyVariable("y", (0.0, 5.0), self.SHAPES)
+        labels, ys, curves = system_with_output(out, samples)._stacks["y"]
+        ref_ys, ref_curves = per_label_stack(out, samples)
+        assert labels == tuple(self.SHAPES)
+        assert curves.shape == (len(self.SHAPES), 1, samples)
+        assert ys.tobytes() == ref_ys.tobytes()
+        assert curves.tobytes() == ref_curves.tobytes()
+
+    def test_random_outputs_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            system = random_system(rng)
+            for name, (labels, ys, curves) in system._stacks.items():
+                ref_ys, ref_curves = per_label_stack(system.outputs[name], system.samples)
+                assert labels == tuple(system.outputs[name].sets)
+                assert ys.tobytes() == ref_ys.tobytes()
+                assert curves.tobytes() == ref_curves.tobytes()
+
+    def test_int_and_float_breakpoints_give_the_same_curves(self):
+        ints = FuzzyVariable("y", (0, 4), {"a": MembershipFunction((0, 1, 3)),
+                                           "b": MembershipFunction((1, 2, 3, 4))})
+        floats = FuzzyVariable("y", (0.0, 4.0), {"a": MembershipFunction.triangle(0, 1, 3),
+                                                 "b": MembershipFunction.trapezoid(1, 2, 3, 4)})
+        fuzzy._curve_stack.cache_clear()
+        for var in (ints, floats, ints):
+            _, ys, curves = system_with_output(var)._stacks["y"]
+            ref_ys, ref_curves = per_label_stack(var, 201)
+            assert ys.tobytes() == ref_ys.tobytes()
+            assert curves.tobytes() == ref_curves.tobytes()
+
+    def test_stacks_are_shared_read_only_and_bounded(self):
+        out = FuzzyVariable("y", (0.0, 5.0), self.SHAPES)
+        first, second = (system_with_output(out)._stacks["y"] for _ in range(2))
+        assert first[1] is second[1] and first[2] is second[2]
+        for arr in first[1:]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert 0 < fuzzy._curve_stack.cache_info().maxsize <= 64
+
+    def test_float_sample_count_still_rejected_after_an_int_one(self):
+        doc = json.loads(system_to_json(default_dosing_system()))
+        doc["samples"] = float(doc["samples"])
+        with pytest.raises(ParseError):
+            system_from_json(json.dumps(doc))
+
+    def test_builtin_systems_are_built_once(self):
+        for build in (default_dosing_system, arm_compensation_system, tilt_compensation_system):
+            assert build() is build()

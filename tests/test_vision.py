@@ -661,6 +661,64 @@ class TestHoughCircles:
             hough_circles(gray(np.zeros((9, 9))), 0, 3)
 
 
+# Shape-keyed tables ----------------------------------------------------------
+
+def pad_reflect_convolve(arr, kernel_shape, spectrum):
+    """The earlier `_reflect_convolve`, padding with np.pad(mode="symmetric")."""
+    kh, kw = kernel_shape
+    ry, rx = kh // 2, kw // 2
+    products = spectrum * np.fft.rfft2(np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric"))
+    rows = np.fft.ifft(products, axis=-2, out=products)[..., kh - 1:, :]
+    return np.fft.irfft(rows, n=arr.shape[1] + kw - 1, axis=-1)[..., kw - 1:]
+
+
+class TestShapeKeyedTables:
+    CACHES = (vision._symmetric_index, vision._line_angles, vision._circle_offsets,
+              vision._gabor_spectra)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_symmetric_index_matches_np_pad(self, n):
+        axis = np.arange(n)
+        for r in range(26):  # r > n reflects more than once
+            assert np.array_equal(vision._symmetric_index(n, r),
+                                  np.pad(axis, r, mode="symmetric"))
+
+    def test_memoized_arrays_are_read_only(self):
+        arrays = [vision._symmetric_index(7, 12), *vision._line_angles(180, 1.0),
+                  vision._circle_offsets(2, 10, 1.0, 9, 9, 35, 39 * 35)[1]]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_every_cache_is_bounded(self):
+        for fn in self.CACHES:
+            assert 0 < fn.cache_info().maxsize <= 64
+
+    def test_alternating_geometries_match_oracles(self):
+        rng = np.random.default_rng(21)
+        a = (clipped_circles_image(4, 19, 23, 3, 0.03), 2, 8, 1.0)
+        b = (clipped_circles_image(5, 31, 12, 4, 0.02), 3, 14, 7.0)
+        masks = (line_mask(6, 20, 30), line_mask(7, 33, 17))
+        crops = [rng.integers(0, 256, size=shape).astype(np.float64) for shape in ((9, 5), (3, 16))]
+        kernels = [rng.normal(size=shape) for shape in ((7, 21), (5, 3))]
+        for fn in self.CACHES:
+            fn.cache_clear()
+        for i in (0, 1, 0):
+            edges, r_min, r_max, step = (a, b)[i]
+            assert hough_circles(edges, r_min, r_max, 2, step) == \
+                hough_circles_oracle(edges, r_min, r_max, 2, step)
+            theta_step = (1.0, 4.5)[i]
+            assert hough_lines(masks[i], theta_step) == hough_lines_oracle(masks[i], theta_step)
+            arr, kernel = crops[i], kernels[i]
+            spectrum = vision._kernel_spectrum(kernel, arr.shape)
+            assert np.array_equal(vision._reflect_convolve(arr, kernel.shape, spectrum),
+                                  pad_reflect_convolve(arr, kernel.shape, spectrum))
+        assert vision._circle_offsets.cache_info().hits >= 1
+        assert vision._line_angles.cache_info().hits >= 1
+        assert vision._symmetric_index.cache_info().hits >= 2
+
+
 # Gabor + PCA -----------------------------------------------------------------
 
 def make_grating(size, wavelength, theta):
