@@ -121,7 +121,7 @@ class SubUnitySafetyFactor(AerobotError):
 
 
 class ConfigInvalid(AerobotError):
-    """Simulation configuration fails validation."""
+    """A configuration (simulation or inspection) fails validation."""
 
 
 class ParseError(AerobotError):

@@ -138,19 +138,19 @@ def simulate_hover(cfg: SimConfig) -> list[HoverState]:
     arm_torque_scale = cfg.arm_mass_kg * GRAVITY * cfg.arm_reach_m
 
     # the arm part of the controller depends only on the known trajectory
-    arm_deltas = arm_compensation_deltas(azimuths, extensions) if cfg.controller else None
+    if cfg.controller:
+        planned = hover_thrust + arm_compensation_deltas(azimuths, extensions)
+    else:
+        planned = np.full((n_steps, N_ROTORS), hover_thrust)
 
     roll = pitch = roll_rate = pitch_rate = 0.0
     trace = []
-    for k in range(n_steps):
-        azimuth = float(azimuths[k])
-        extension = float(extensions[k])
+    for t, azimuth, extension, thrusts in zip(times.tolist(), azimuths.tolist(),
+                                              extensions.tolist(), planned):
         if cfg.controller:
-            thrusts = hover_thrust + arm_deltas[k] + tilt_compensation_deltas(roll, pitch)
-        else:
-            thrusts = np.full(N_ROTORS, hover_thrust)
-        trace.append(HoverState(float(times[k]), roll, pitch, roll_rate, pitch_rate,
-                                tuple(float(f) for f in thrusts), azimuth, extension))
+            thrusts = thrusts + tilt_compensation_deltas(roll, pitch)
+        trace.append(HoverState(t, roll, pitch, roll_rate, pitch_rate,
+                                tuple(thrusts.tolist()), azimuth, extension))
 
         theta = math.radians(azimuth)
         lever = extension * arm_torque_scale

@@ -148,7 +148,7 @@ def fuzzify(variable: FuzzyVariable, x: float) -> dict:
 
 
 def _infer_batch(system: FuzzySystem, values: dict) -> dict:
-    """Mamdani inference over aligned input arrays, or one row of floats; returns crisp arrays.
+    """Mamdani inference over inputs broadcast together, or one row of floats, to crisp arrays.
 
     Each consequent label is clipped once, at the largest firing degree of its
     rules, since max_r min(h_r, c) = min(max_r h_r, c).
@@ -158,10 +158,8 @@ def _infer_batch(system: FuzzySystem, values: dict) -> dict:
         if name not in values:
             raise ValueError(f"missing input {name!r}")
         inputs[name] = var.clamp(values[name])
-    shapes = {getattr(x, "shape", ()) for x in inputs.values()}
-    if len(shapes) > 1:
-        raise ValueError("input arrays must share one length")
-    shape = shapes.pop()
+    # numbers add nothing to the shape, and np.broadcast takes at most 64 arguments
+    shape = np.broadcast(*[x for x in inputs.values() if isinstance(x, np.ndarray)]).shape
     lower, upper = (np.minimum, np.maximum) if shape else (min, max)
     degrees = {(name, label): mf(inputs[name])
                for name, var in system.inputs.items() for label, mf in var.sets.items()}
@@ -179,14 +177,14 @@ def _infer_batch(system: FuzzySystem, values: dict) -> dict:
         mass = agg.sum(axis=1)
         if not mass.all():  # mass is never negative
             raise NoRuleFired(f"no rule fired for output {name!r}")
-        crisp[name] = (agg @ ys) / mass
+        crisp[name] = ((agg @ ys) / mass).reshape(shape)
     return crisp
 
 
 def infer(system: FuzzySystem, values: dict) -> dict:
     """Crisp centroid output per output variable for one set of crisp inputs."""
     batch = _infer_batch(system, {k: float(v) for k, v in values.items()})
-    return {name: float(arr[0]) for name, arr in batch.items()}
+    return {name: float(arr) for name, arr in batch.items()}
 
 
 # JSON definition ------------------------------------------------------------
@@ -343,41 +341,43 @@ def _antisymmetric(magnitudes: np.ndarray) -> np.ndarray:
     return np.concatenate([diff, -diff], axis=1)
 
 
-_CHUNK_ROWS = 8192  # caps the (labels, rows, samples) clipped curve stack
+def _ring_deltas(system: FuzzySystem, azimuths: np.ndarray, name: str, values) -> np.ndarray:
+    """Zero-sum (B, 8) deltas of the lift inferred from each rotor's distance to each
+    azimuth and from input `name`, whose `values` broadcast against those distances."""
+    return _antisymmetric(_infer_batch(system, {
+        "proximity": _angular_distance(azimuths), name: values})["lift"])
+
+
+_CHUNK_POSES = 1024  # x 8 rotors = 8192 rows cap the (labels, rows, samples) clipped stack
 
 
 def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
     """Zero-sum deltas (B, 8) for a series of arm poses."""
-    az = np.atleast_1d(np.asarray(azimuths_deg, dtype=np.float64)) % 360.0
+    az = np.atleast_1d(np.asarray(azimuths_deg, dtype=np.float64))
     ext = np.atleast_1d(np.asarray(extensions, dtype=np.float64))
     if az.shape != ext.shape:
         raise ValueError("azimuths and extensions must align")
-    if np.any(ext < 0.0) or np.any(ext > 1.0):
+    if not np.all(np.isfinite(az)):
+        raise ValueError("azimuth is not finite")
+    if not np.all((ext >= 0.0) & (ext <= 1.0)):  # NaN fails both comparisons
         raise ValueError("extension outside [0, 1]")
     system = arm_compensation_system()
-    proximity = _angular_distance(az).reshape(-1)
-    extension = np.repeat(ext, N_ROTORS)
-    mags = np.empty_like(proximity)
-    for start in range(0, proximity.shape[0], _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        mags[start:stop] = _infer_batch(system, {
-            "proximity": proximity[start:stop],
-            "extension": extension[start:stop],
-        })["lift"]
-    return _antisymmetric(mags.reshape(-1, N_ROTORS))
+    deltas = np.empty((az.shape[0], N_ROTORS))
+    for start in range(0, az.shape[0], _CHUNK_POSES):
+        rows = slice(start, start + _CHUNK_POSES)
+        deltas[rows] = _ring_deltas(system, az[rows] % 360.0, "extension", ext[rows, None])
+    return deltas
 
 
 def tilt_compensation_deltas(roll: float, pitch: float) -> np.ndarray:
     """Zero-sum deltas (8,) boosting the rotors whose lift opposes the tilt."""
+    if not (math.isfinite(roll) and math.isfinite(pitch)):
+        raise ValueError(f"tilt ({roll}, {pitch}) is not finite")
     magnitude = math.hypot(roll, pitch)
     if magnitude == 0.0:
         return np.zeros(N_ROTORS)
-    correction_az = math.degrees(math.atan2(-roll, pitch)) % 360.0
-    mags = _infer_batch(tilt_compensation_system(), {
-        "proximity": _angular_distance(np.array([correction_az])).reshape(-1),
-        "tilt": np.full(N_ROTORS, magnitude),
-    })["lift"]
-    return _antisymmetric(mags.reshape(1, N_ROTORS))[0]
+    correction = math.degrees(math.atan2(-roll, pitch)) % 360.0
+    return _ring_deltas(tilt_compensation_system(), np.array([correction]), "tilt", magnitude)[0]
 
 
 def stabilizer_deltas(arm_azimuth_deg: float, arm_extension: float,

@@ -93,34 +93,18 @@ _MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 _MAGIC_ASCII = {b"P2", b"P3"}
 _COMMENT = re.compile(rb"#[^\n\r]*")
 _DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"  # bytes.isspace() whitespace
-
-
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token; '#' comments run to end of line."""
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":
-            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise TruncatedData("header ended early")
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+# whitespace and '#' comments to end of line, then the next header token
+_TOKEN = re.compile(rb"(?:\s|" + _COMMENT.pattern + rb")*([^\s#]*)")
 
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     """Next header token as an int; only plain decimal digits are accepted."""
-    tok, pos = _next_token(data, pos)
-    if not tok.isdigit():
-        raise TruncatedData(f"bad {what} token {tok!r}")
-    return int(tok), pos
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
+        raise TruncatedData("header ended early")
+    if not match[1].isdigit():
+        raise TruncatedData(f"bad {what} token {match[1]!r}")
+    return int(match[1]), match.end()
 
 
 def _decimal_samples(body: bytes, count: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadThresholds, NonConvergent, NoStripFound
+from .errors import BadThresholds, ConfigInvalid, NonConvergent, NoStripFound
 from .neural import HopfieldNet, hopfield_recall, hopfield_train
 from .raster import Image, to_grayscale
 from .vision import wavelet_response
@@ -98,6 +98,12 @@ class InspectConfig:
     dark_max: float = 0.3
     min_response: float = 1.0  # mean |wavelet response| floor for the band
     max_iter: int = 10
+
+    def __post_init__(self):
+        if not 0.0 <= self.dark_max < self.bright_min <= 1.0:
+            raise BadThresholds(f"dark_max {self.dark_max}, bright_min {self.bright_min}")
+        if self.block_length < 1 or self.max_iter < 1:
+            raise ConfigInvalid(f"block_length {self.block_length}, max_iter {self.max_iter}")
 
 
 @dataclass(frozen=True)

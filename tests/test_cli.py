@@ -218,6 +218,13 @@ class TestInspectSidewalk:
         assert "NoStripFound" in err
         assert not overlay.exists()
 
+    @pytest.mark.parametrize("block", ["0", "-8"])
+    def test_non_positive_block_is_a_config_error(self, capsys, sidewalk_pgm, block):
+        code, out, err = run(capsys, "inspect-sidewalk", str(sidewalk_pgm), "--block", block)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ConfigInvalid: block_length")
+
 
 class TestThermal:
     def test_to_radiance(self, capsys):

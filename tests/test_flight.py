@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -240,6 +241,20 @@ class TestSimulate:
             SimConfig.from_json("{bad")
         with pytest.raises(ParseError):
             SimConfig.from_json('{"unknown_field": 3}')
+
+    # sha256 of the whole trace CSV: any change to a thrust, rate or angle bit shows,
+    # over far more of the closed loop than the 50-step golden run
+    @pytest.mark.parametrize("cfg, digest", [
+        (SimConfig(duration_s=1.0, arm_trajectory=(  # keyframes drawn from default_rng(2026)
+            (0.0, 23.311, 0.653), (0.371, 493.76, 0.298),
+            (0.467, 617.555, 0.967), (0.64, -168.459, 0.92))),
+         "36fb08e2e31ba8879ea9d5abd56d3b4d5331252748eb354faf04819bb6aa26de"),
+        (SimConfig(duration_s=1.0, controller=False),
+         "63614c8fc6799df115d0f921d4a43b9c2b2a38bcd5757a9187ac4169016a6a21"),
+    ], ids=["seeded_controller_on", "default_controller_off"])
+    def test_closed_loop_trace_pinned(self, cfg, digest):
+        csv = trace_to_csv(simulate_hover(cfg))
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
     def test_trace_csv_columns(self):
         trace = simulate_hover(short_config(duration_s=0.01, dt_s=0.001))

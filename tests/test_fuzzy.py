@@ -151,6 +151,21 @@ class TestInfer:
         with pytest.raises(NoRuleFired):
             infer(system, {"x": 0.0})  # hi has zero degree at 0
 
+    def test_more_inputs_than_numpy_broadcasts_at_once(self):
+        unit = unit_variable()
+        inputs = [FuzzyVariable(f"x{i}", unit.universe, unit.sets) for i in range(70)]
+        out = FuzzyVariable("y", (0.0, 1.0), {"low": MembershipFunction.triangle(0.0, 0.0, 0.5),
+                                              "high": MembershipFunction.triangle(0.5, 1.0, 1.0)})
+        rules = [Rule(((v.name, "hi"),), ("y", "high")) for v in inputs]
+        rules.append(Rule(tuple((v.name, "lo") for v in inputs), ("y", "low")))
+        system = FuzzySystem(inputs, [out], rules)
+        query = {v.name: 0.1 + 0.01 * i for i, v in enumerate(inputs)}
+        assert infer(system, query) == infer_oracle(system, query)
+        rows = dict(query, x0=np.array([0.2, 0.9]))
+        replicated = {k: np.broadcast_to(v, (2,)) for k, v in rows.items()}
+        assert np.array_equal(fuzzy._infer_batch(system, rows)["y"],
+                              infer_batch_oracle(system, replicated)["y"])
+
     def test_missing_input_rejected(self):
         system = single_output_system(
             {"mid": MembershipFunction.triangle(0.25, 0.5, 0.75),
@@ -302,6 +317,23 @@ class TestStabilizer:
     def test_extension_bounds(self):
         with pytest.raises(ValueError):
             stabilizer_deltas(0.0, 1.5)
+
+    @pytest.mark.parametrize("azimuth, extension", [
+        (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (0.0, math.nan)])
+    def test_non_finite_pose_rejected_before_arithmetic(self, azimuth, extension):
+        # the suite turns warnings into errors, so a numpy RuntimeWarning fails this too
+        with pytest.raises(ValueError, match="not finite|outside"):
+            arm_compensation_deltas([10.0, azimuth], [0.5, extension])
+        with pytest.raises(ValueError, match="not finite|outside"):
+            stabilizer_deltas(azimuth, extension)
+
+    @pytest.mark.parametrize("roll, pitch", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.1, -math.inf), (math.inf, math.nan)])
+    def test_non_finite_tilt_rejected_before_arithmetic(self, roll, pitch):
+        with pytest.raises(ValueError, match="not finite"):
+            tilt_compensation_deltas(roll, pitch)
+        with pytest.raises(ValueError, match="not finite"):
+            stabilizer_deltas(45.0, 0.5, (roll, pitch))
 
     def test_csv_export(self):
         csv = deltas_csv(stabilizer_deltas(0.0, 1.0))
@@ -577,6 +609,50 @@ class TestEngineMatchesPerRuleOracle:
         for engine in (fuzzy._infer_batch, infer_batch_oracle):
             with pytest.raises(NoRuleFired):
                 engine(system, {"x": np.array([0.9, 0.25])})
+
+    def test_number_broadcasts_like_a_replicated_array(self):
+        rng = np.random.default_rng(46)
+        compared = 0
+        for _ in range(200):
+            system = random_system(rng)
+            (a, var_a), (b, var_b) = system.inputs.items()
+            grid = rng.uniform(var_a.universe[0] - 1.0, var_a.universe[1] + 1.0, (3, 4))
+            number = float(rng.uniform(var_b.universe[0] - 1.0, var_b.universe[1] + 1.0))
+            got = outcome(lambda: fuzzy._infer_batch(system, {a: grid, b: number}))
+            replicated = outcome(lambda: fuzzy._infer_batch(
+                system, {a: grid, b: np.full(grid.shape, number)}))
+            flat = outcome(lambda: infer_batch_oracle(
+                system, {a: grid.ravel(), b: np.full(grid.size, number)}))
+            if got is NoRuleFired:
+                assert replicated is NoRuleFired and flat is NoRuleFired
+                continue
+            assert got.keys() == replicated.keys() == flat.keys()
+            for k in got:
+                assert got[k].shape == grid.shape
+                assert got[k].tobytes() == replicated[k].tobytes() == flat[k].tobytes()
+            compared += 1
+        assert 40 < compared < 200  # a silent row fails a whole grid; both outcomes are exercised
+
+    def test_columns_broadcast_against_rows(self):
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            system = random_system(rng)
+            (a, var_a), (b, var_b) = system.inputs.items()
+            row = rng.uniform(*var_a.universe, (1, 5))
+            column = rng.uniform(*var_b.universe, (4, 1))
+            got = outcome(lambda: fuzzy._infer_batch(system, {a: row, b: column}))
+            full = outcome(lambda: fuzzy._infer_batch(
+                system, {a: np.repeat(row, 4, axis=0), b: np.repeat(column, 5, axis=1)}))
+            assert (got is NoRuleFired) == (full is NoRuleFired)
+            if got is not NoRuleFired:
+                assert all(got[k].tobytes() == full[k].tobytes() for k in got)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((3,), (4,)), ((2, 3), (3, 2)), ((5, 8), (5,))])
+    def test_shapes_that_cannot_broadcast_rejected(self, shape_a, shape_b):
+        system = random_system(np.random.default_rng(48))
+        a, b = system.inputs
+        with pytest.raises(ValueError):
+            fuzzy._infer_batch(system, {a: np.zeros(shape_a), b: np.zeros(shape_b)})
 
     def test_arm_deltas_across_chunks(self):
         rng = np.random.default_rng(43)

@@ -210,6 +210,27 @@ class TestParse:
         with pytest.raises(TruncatedData):
             parse_pnm(data)
 
+    def test_header_tokenizer_matches_oracle(self):
+        # \x85, \xa0 and \x1c are whitespace to str.isspace() but not to bytes.isspace()
+        # or a bytes pattern's \s, so they stay part of a token
+        alphabet = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"0", b"7", b"9",
+                    b"a", b"-", b"+", b"\x00", b"\x1c", b"\x85", b"\xa0"]
+        rng = np.random.default_rng(12)
+        for _ in range(20_000):
+            n = int(rng.integers(0, 14))
+            data = b"".join(alphabet[i] for i in rng.integers(0, len(alphabet), n))
+            pos = int(rng.integers(0, n + 1))
+            try:
+                tok, end = _oracle_next_token(data, pos)
+                expected = (int(tok), end) if tok.isdigit() else f"bad width token {tok!r}"
+            except TruncatedData as exc:
+                expected = str(exc)
+            try:
+                got = raster._int_token(data, pos, "width")
+            except TruncatedData as exc:
+                got = str(exc)
+            assert got == expected, (data, pos)
+
 
 class TestAsciiDecoder:
     @pytest.mark.parametrize("data", [

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aerobot.errors import BadThresholds, NoStripFound
+from aerobot.errors import BadThresholds, ConfigInvalid, NoStripFound
 from aerobot.raster import Image
 from aerobot.sidewalk import (
     FUNDAMENTAL_PATTERNS,
@@ -198,6 +198,26 @@ class TestInspect:
                             InspectConfig(sigma=1.5, block_length=6))
         assert report.n_blocks == 10
         assert report.flagged_blocks == ()
+
+    @pytest.mark.parametrize("bright_min, dark_max", [
+        (0.3, 0.7), (0.5, 0.5), (1.2, 0.3), (0.7, -0.1), (0.7, float("nan"))])
+    def test_bad_thresholds_rejected_when_built(self, bright_min, dark_max):
+        with pytest.raises(BadThresholds):
+            InspectConfig(bright_min=bright_min, dark_max=dark_max)
+
+    def test_inverted_thresholds_not_silent_on_a_short_strip(self):
+        # two blocks make no three-block segment, so encode_ternary never runs
+        params = SidewalkParams(n_blocks=2, block_length=8, image_height=32, band_top=12)
+        report, _ = inspect(generate_sidewalk(params))
+        assert report.n_blocks == 2 and report.decisions == ()
+        with pytest.raises(BadThresholds):
+            inspect(generate_sidewalk(params), InspectConfig(bright_min=0.3, dark_max=0.7))
+
+    @pytest.mark.parametrize("field", ["block_length", "max_iter"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_non_positive_counts_rejected_when_built(self, field, value):
+        with pytest.raises(ConfigInvalid, match=f"{field} {value}"):
+            InspectConfig(**{field: value})
 
     def test_window_coverage(self):
         report, _ = inspect(generate_sidewalk(SidewalkParams()))
