@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .errors import AerobotError
 
-# Each command imports the layers it needs when it runs, after reading its
-# input, so thermal, thrust, usage errors and unreadable files never load
-# numpy. Layer functions are looked up on their modules at call time.
+# Each command imports its layers when it runs, after reading its input, so
+# thermal, thrust, usage errors, unreadable files and bad simulation configs
+# never load numpy; layer functions are looked up on their modules at call time.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -142,9 +142,9 @@ def _cmd_thrust(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    text = Path(args.config).read_text()
+    from . import sizing
+    cfg = sizing.SimConfig.from_json(Path(args.config).read_text())
     from . import flight
-    cfg = flight.SimConfig.from_json(text)
     trace = flight.simulate_hover(cfg)
     files = []
     if args.trace:

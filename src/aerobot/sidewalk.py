@@ -132,6 +132,8 @@ def extract_strip(img: Image, sigma: float = 2.0, block_length: int = 8,
     summed |response| wins. Raises NoStripFound when the winner's mean
     |response| per pixel stays under min_response (flat images).
     """
+    if block_length < 1:
+        raise ConfigInvalid(f"block_length {block_length} below 1")
     gray = to_grayscale(img)
     if gray.height <= block_length or gray.width < block_length:
         raise ValueError("image smaller than one block")
@@ -191,7 +193,8 @@ def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[Inspec
     any covering segment votes for it. Flagged blocks are outlined at 255
     in a grayscale copy of the source.
     """
-    strip = extract_strip(img, config.sigma, config.block_length, config.min_response)
+    gray = to_grayscale(img)
+    strip = extract_strip(gray, config.sigma, config.block_length, config.min_response)
     net = sidewalk_memory()
     means = strip.means()
     decisions = []
@@ -203,7 +206,7 @@ def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[Inspec
         decisions.append(decision)
         flagged.update(decision.paint_blocks)
 
-    overlay_arr = to_grayscale(img).to_array().copy()
+    overlay_arr = gray.to_array().copy()
     for idx in flagged:
         b = strip.blocks[idx]
         overlay_arr[b.y, b.x:b.x + b.width] = 255

@@ -1,21 +1,25 @@
-"""Vehicle sizing arithmetic, free of numpy.
+"""Vehicle sizing arithmetic and the hover-simulation config, free of numpy.
 
 A component mass table and the per-rotor thrust rule T = 2*w*s/n
 (kilograms-force), where w is total mass in kg, n the rotor count, and s a
-safety multiplier >= 1.
+safety multiplier >= 1. A bad `SimConfig` is refused before numpy loads.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+import json
+import math
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from .errors import BadRotorCount, ParseError, SubUnitySafetyFactor
+from .errors import BadRotorCount, ConfigInvalid, ParseError, SubUnitySafetyFactor
 
 GRAVITY = 9.80665  # m/s^2, standard
+# largest duration_s / dt_s accepted; bounds the trace and its allocations
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -110,3 +114,64 @@ def thrust_per_rotor(spec: ThrustSpec) -> float:
 
 def kgf_to_newtons(kgf: float) -> float:
     return kgf * GRAVITY
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    vehicle_mass_kg: float = 32.019
+    rotor_radius_m: float = 0.5
+    inertia_kgm2: float = 0.8  # roll and pitch alike
+    arm_mass_kg: float = 0.94
+    arm_reach_m: float = 0.6
+    dt_s: float = 0.001
+    duration_s: float = 10.0
+    controller: bool = True
+    # (time_s, azimuth_deg, extension) keyframes, linearly interpolated
+    arm_trajectory: tuple = field(default_factory=lambda: ((0.0, 0.0, 1.0), (10.0, 360.0, 1.0)))
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigInvalid(f"{f.name} {getattr(self, f.name)} is not finite")
+        if not isinstance(self.controller, bool):
+            raise ConfigInvalid(f"controller {self.controller!r} is not a boolean")
+        if any(len(k) != 3 for k in self.arm_trajectory):
+            raise ConfigInvalid("keyframes are (time_s, azimuth_deg, extension) triples")
+        if not all(math.isfinite(v) for k in self.arm_trajectory for v in k):
+            raise ConfigInvalid("keyframe values must be finite")
+        if self.vehicle_mass_kg <= 0 or self.rotor_radius_m <= 0 or self.inertia_kgm2 <= 0:
+            raise ConfigInvalid("mass, rotor radius, and inertia must be positive")
+        if self.arm_mass_kg < 0 or self.arm_reach_m < 0:
+            raise ConfigInvalid("arm mass and reach cannot be negative")
+        if self.dt_s <= 0:
+            raise ConfigInvalid(f"time step {self.dt_s} must be positive")
+        if self.duration_s < self.dt_s:
+            raise ConfigInvalid("duration shorter than one step")
+        if self.duration_s / self.dt_s > MAX_STEPS:
+            raise ConfigInvalid(f"duration_s / dt_s above the budget of {MAX_STEPS} steps")
+        if not self.arm_trajectory:
+            raise ConfigInvalid("arm trajectory needs at least one keyframe")
+        times = [k[0] for k in self.arm_trajectory]
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise ConfigInvalid("keyframe times must be non-decreasing")
+        for t, _, ext in self.arm_trajectory:
+            if not 0.0 <= ext <= 1.0:
+                raise ConfigInvalid(f"extension {ext} at t={t} outside [0, 1]")
+
+    @classmethod
+    def from_json(cls, text: str) -> "SimConfig":
+        try:
+            doc = json.loads(text)
+        except (RecursionError, ValueError) as exc:  # JSONDecodeError, or an over-long integer
+            raise ParseError(f"bad JSON: {exc}") from exc
+        try:
+            if "arm_trajectory" in doc:
+                doc["arm_trajectory"] = tuple(tuple(k) for k in doc["arm_trajectory"])
+            return cls(**doc)
+        except (OverflowError, TypeError) as exc:  # OverflowError: an integer beyond float range
+            raise ParseError(f"bad simulation config: {exc}") from exc
+
+    def to_json(self) -> str:
+        doc = dict(self.__dict__)
+        doc["arm_trajectory"] = [list(k) for k in self.arm_trajectory]
+        return json.dumps(doc, indent=2)

@@ -247,30 +247,25 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     n_theta = int(round(180.0 / theta_step))
     thetas, cos_t, sin_t = _line_angles(n_theta, theta_step)
     diag = int(math.ceil(math.hypot(edges.width - 1, edges.height - 1)))
-    exact = np.outer(xs, cos_t)
-    exact += np.outer(ys, sin_t)
-    # cell (rho + diag) * n_theta + theta, rounded once into int64 in place
-    flat = np.rint(exact, out=np.empty(exact.shape, np.int64), casting="unsafe")
-    exact -= flat  # residual to the bin center
-    flat *= n_theta
-    flat += np.arange(diag * n_theta, (diag + 1) * n_theta)
-    acc = np.bincount(flat.ravel(), minlength=(2 * diag + 1) * n_theta)
+    n_rho = 2 * diag + 1
+    # theta-major tables; the sin product sits in the cell table until rint
+    exact = np.multiply.outer(cos_t, xs)
+    cell = np.empty(exact.shape, np.int64)
+    exact += np.multiply.outer(sin_t, ys, out=cell.view(np.float64))
+    np.rint(exact, out=cell, casting="unsafe")
+    exact -= cell  # residual to the bin center
+    cell += (np.arange(n_theta) * n_rho + diag)[:, None]  # cell t * n_rho + rho + diag
+    acc = np.bincount(cell.ravel(), minlength=n_theta * n_rho)
     cells = np.flatnonzero(acc >= threshold)
-    ri, ti = np.divmod(cells, n_theta)
-    # summed residuals rank equal-vote cells, the most concentrated theta first;
-    # a fifth or fewer hit theta columns are gathered into (rho, column) slots
-    hit = np.bincount(ti, minlength=n_theta) > 0
-    cols = np.flatnonzero(hit)
-    if 5 * len(cols) > n_theta:  # gathering more would cost more than it saves
-        cols, ci = np.arange(n_theta), ti
-    else:
-        ci = (np.cumsum(hit) - 1)[ti]  # slot of each hit cell's column
-        flat = flat[:, cols] // n_theta * len(cols) + np.arange(len(cols))
-        exact = exact[:, cols]
-    spread = np.bincount(flat.ravel(), weights=np.abs(exact, out=exact).ravel(),
-                         minlength=(2 * diag + 1) * len(cols))
-    # cell index order is (rho, theta) order, the last tie-break
-    order = np.lexsort((cells, spread[ri * len(cols) + ci], -acc[cells]))
+    if len(cells) == 0:
+        return []
+    ti, ri = np.divmod(cells, n_rho)
+    # equal votes rank by summed residual (the most concentrated theta first),
+    # then in (rho, theta) order; only hit theta rows are summed, pixel by pixel
+    rows = np.flatnonzero(np.bincount(ti, minlength=n_theta))
+    spread = np.stack([np.bincount(cell[c] - c * n_rho, weights=np.abs(exact[c]), minlength=n_rho)
+                       for c in rows.tolist()])
+    order = np.lexsort((ri * n_theta + ti, spread[np.searchsorted(rows, ti), ri], -acc[cells]))
     return [LineHit(rho, theta, votes) for rho, theta, votes in
             zip((ri[order] - diag).astype(np.float64).tolist(), thetas[ti[order]].tolist(),
                 acc[cells[order]].tolist())]

@@ -22,7 +22,7 @@ def tilt_error(magnitude: float, heading_deg: float) -> tuple:
     return -magnitude * math.sin(heading), magnitude * math.cos(heading)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(azimuths, extensions, tilts, azimuths)
 def test_deltas_mirror_and_sum_to_zero(azimuth, extension, tilt, heading):
     deltas = stabilizer_deltas(azimuth, extension, tilt_error(tilt, heading))
@@ -31,7 +31,7 @@ def test_deltas_mirror_and_sum_to_zero(azimuth, extension, tilt, heading):
     assert math.fsum(deltas) == 0.0
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(azimuths, extensions, tilts, azimuths, st.integers(1, N_ROTORS - 1))
 def test_deltas_shift_with_the_rotors(azimuth, extension, tilt, heading, shift):
     base = stabilizer_deltas(azimuth, extension, tilt_error(tilt, heading))
@@ -40,7 +40,7 @@ def test_deltas_shift_with_the_rotors(azimuth, extension, tilt, heading, shift):
     assert np.allclose(turned, np.roll(base, shift), rtol=0.0, atol=1e-9)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(azimuths, extensions), min_size=1, max_size=40))
 def test_batch_rows_shift_with_the_rotors(poses):
     az, ext = np.array(poses).T

@@ -40,8 +40,10 @@ def loaded_by(*argv, cwd=None):
     (["otsu", "missing.pgm"], 1),
     (["inspect-sidewalk", "missing.pgm"], 1),
     (["simulate", "--config", "missing.json"], 1),
+    (["simulate", "--config", "bad.json"], 1),
 ])
 def test_light_calls_never_load_numpy(tmp_path, argv, code):
+    (tmp_path / "bad.json").write_text('{"dt_s": -1}')
     got, modules = loaded_by(*argv, cwd=tmp_path)
     assert got == code
     assert "numpy" not in modules
@@ -112,6 +114,7 @@ def test_vision_reexports_thermal(name):
 @pytest.mark.parametrize("name", [
     "GRAVITY", "MassEntry", "MassTable", "ThrustSpec", "default_mass_table",
     "kgf_to_newtons", "load_mass_table", "thrust_per_rotor", "total_mass",
+    "MAX_STEPS", "SimConfig",
 ])
 def test_flight_reexports_sizing(name):
     from aerobot import flight, sizing

@@ -3,7 +3,7 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from aerobot.errors import AerobotError  # noqa: E402
@@ -19,13 +19,11 @@ def images(draw):
     return Image(w, h, channels, samples)
 
 
-@settings(deadline=None)
 @given(images(), st.booleans())
 def test_write_then_parse_round_trips(img, ascii):
     assert parse_pnm(write_pnm(img, ascii=ascii)) == img
 
 
-@settings(deadline=None)
 @given(st.sampled_from([b"P2", b"P3"]), st.integers(1, 4), st.integers(1, 4),
        st.integers(1, 255), st.binary(max_size=64))
 def test_arbitrary_raster_raises_only_aerobot_errors(magic, w, h, maxval, body):
@@ -38,7 +36,6 @@ def test_arbitrary_raster_raises_only_aerobot_errors(magic, w, h, maxval, body):
     assert max(img.samples) <= maxval
 
 
-@settings(deadline=None)
 @given(st.sampled_from([b"P2", b"P3"]), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 255), st.lists(st.integers(0, 10**6), max_size=30),
        st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#c\n"]),

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from aerobot import sidewalk
 from aerobot.errors import BadThresholds, ConfigInvalid, NoStripFound
-from aerobot.raster import Image
+from aerobot.raster import Image, to_grayscale
 from aerobot.sidewalk import (
     FUNDAMENTAL_PATTERNS,
     INTACT,
@@ -76,6 +77,11 @@ class TestExtractStrip:
         with pytest.raises(ValueError):
             extract_strip(img, 2.0, 8)
 
+    @pytest.mark.parametrize("block_length", [0, -8])
+    def test_block_length_below_one_is_config_invalid(self, block_length):
+        with pytest.raises(ConfigInvalid, match="block_length"):
+            extract_strip(generate_sidewalk(SidewalkParams()), 2.0, block_length)
+
 
 class TestEncodeTernary:
     def test_reference_segment(self):
@@ -138,6 +144,18 @@ class TestInspect:
         assert len(report.decisions) == 10
         assert all(d.verdict == INTACT for d in report.decisions)
         assert overlay.width == 96
+
+    def test_rgb_input_is_converted_to_gray_once(self, monkeypatch):
+        arr = generate_sidewalk(SidewalkParams(erased_blocks=(4,))).to_array()
+        rgb = Image.from_array(np.stack([arr, arr, np.full_like(arr, 128)], axis=-1))
+        report, overlay = inspect(to_grayscale(rgb))
+        assert report.flagged_blocks == (4,)
+        channels = []
+        real = sidewalk.to_grayscale
+        monkeypatch.setattr(sidewalk, "to_grayscale",
+                            lambda img: channels.append(img.channels) or real(img))
+        assert inspect(rgb) == (report, overlay)
+        assert channels.count(3) == 1
 
     def test_single_erased_block_flagged(self):
         report, overlay = inspect(generate_sidewalk(SidewalkParams(erased_blocks=(4,))))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aerobot import vision
 from aerobot.errors import (
@@ -109,7 +110,7 @@ class TestOtsu:
             h = Histogram(tuple(int(b) for b in bins))
             assert otsu_threshold(h) == otsu_oracle(h.bins)
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.one_of(
         st.lists(st.integers(0, 10**6), min_size=256, max_size=256),
         st.dictionaries(st.integers(0, 255), st.integers(1, 10**12), max_size=6).map(
@@ -446,8 +447,8 @@ class TestHoughLines:
         assert hough_lines(edges, 1.0, threshold=most + 1) == []
 
     def test_matches_oracle_with_many_or_few_hit_columns(self):
-        # the residual spread is summed over every theta column, or gathered
-        # from the hit columns when at most a fifth of them hold a hit
+        # the residual spread is summed over the theta rows that hold a hit,
+        # whether a few of them do or all of them
         edges = gray(np.where(np.random.default_rng(11).random((40, 40)) < 0.3, 255, 0))
         hit_columns = set()
         for threshold in range(14, 30, 2):
@@ -456,11 +457,12 @@ class TestHoughLines:
             hit_columns.add(len({h.theta for h in got}))
         assert min(hit_columns) <= 36 < max(hit_columns) == 180
 
-    @pytest.mark.parametrize("threshold", [40, 60])
-    def test_dense_mask_bounded_memory(self, threshold):
-        # every theta column holds a hit at 40, 36 of 180 do at 60; either way
-        # no more than the rho table, its int64 cell index and the spread
-        # gathered from a fifth of the columns are alive at once
+    @pytest.mark.parametrize("threshold, bound", [(40, 2.75), (60, 2.75), (60, 2.25)],
+                             ids=["40", "60", "60-few-rows"])
+    def test_dense_mask_bounded_memory(self, threshold, bound):
+        # every theta row holds a hit at 40, 36 of 180 do at 60; either way
+        # only the rho table and its int64 cell table are vote-sized, and the
+        # spread is summed one hit row at a time
         arr = np.where(np.random.default_rng(7).random((128, 128)) < 0.3, 255, 0)
         table = np.count_nonzero(arr) * 180 * 8
         tracemalloc.start()
@@ -469,7 +471,7 @@ class TestHoughLines:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.75 * table
+        assert peak < bound * table
 
     @pytest.mark.parametrize("theta_step", [1.0, 45.0])
     def test_threshold_zero_lists_every_cell(self, theta_step):
@@ -483,6 +485,17 @@ class TestHoughLines:
         edges = sparse_strip(shape)
         for threshold in (0, 1, 3):
             assert hough_lines(edges, 1.0, threshold) == hough_lines_oracle(edges, 1.0, threshold)
+
+    @settings(max_examples=100)
+    @given(arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))),
+           st.sampled_from([0.5, 1.0, 3.0, 45.0, 90.0]), st.data())
+    def test_matches_oracle_on_any_mask(self, mask, theta_step, data):
+        edges = gray(mask * 255)
+        hits = hough_lines(edges, theta_step, 1)
+        most = hits[0].votes if hits else 0
+        threshold = data.draw(st.integers(0, most + 1), label="threshold")
+        got = hough_lines(edges, theta_step, threshold)
+        assert got == hough_lines_oracle(edges, theta_step, threshold)
 
     def test_votes_sorted_descending(self):
         arr = np.zeros((11, 11), np.uint8)
