@@ -49,7 +49,7 @@ class DegenerateHistogram(AerobotError):
 
 
 class NonPositiveSigma(AerobotError):
-    """Kernel scale must be > 0."""
+    """Kernel scale must be positive and finite."""
 
 
 class BadRadiusRange(AerobotError):

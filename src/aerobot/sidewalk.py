@@ -34,40 +34,16 @@ def sidewalk_memory() -> HopfieldNet:
     return hopfield_train(FUNDAMENTAL_PATTERNS, 3)
 
 
-@dataclass(frozen=True)
-class Block:
-    """One strip block: pixel rectangle plus mean intensity in [0, 1]."""
-
-    x: int
-    y: int
-    width: int
-    height: int
-    mean: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockStrip:
-    """Contiguous blocks of the located band, left to right."""
+    """Read-only mean intensity in [0, 1] of each block, left to right.
 
-    blocks: tuple
-    source_width: int
-    source_height: int
+    Block j is the block_length square at row band_top, column j*block_length.
+    """
+
+    means: np.ndarray
     band_top: int
-
-    def means(self) -> list[float]:
-        return [b.mean for b in self.blocks]
-
-
-@dataclass(frozen=True)
-class SegmentPattern:
-    """Three consecutive block means starting at a block offset."""
-
-    start: int
-    means: tuple
-
-    def __post_init__(self):
-        if len(self.means) != 3:
-            raise ValueError("a segment holds exactly three blocks")
+    block_length: int
 
 
 @dataclass(frozen=True)
@@ -144,30 +120,20 @@ def extract_strip(img: Image, sigma: float = 2.0, block_length: int = 8,
     if window[top] / (block_length * gray.width) < min_response:
         raise NoStripFound(f"best band response {window[top]:.3g} under the floor")
 
-    arr = gray.to_array().astype(np.float64)
-    band = arr[top:top + block_length]
-    blocks = []
-    for j in range(gray.width // block_length):
-        x0 = j * block_length
-        mean = float(band[:, x0:x0 + block_length].mean() / 255.0)
-        blocks.append(Block(x0, top, block_length, block_length, mean))
-    return BlockStrip(tuple(blocks), gray.width, gray.height, top)
+    n = gray.width // block_length
+    band = gray.to_array()[top:top + block_length, :n * block_length]
+    # block sums are integers below 2**53, so any summation order is exact
+    means = band.reshape(block_length, n, block_length).mean(axis=(0, 2)) / 255.0
+    means.flags.writeable = False
+    return BlockStrip(means, top, block_length)
 
 
-def encode_ternary(segment: SegmentPattern, bright_min: float = 0.7,
-                   dark_max: float = 0.3) -> tuple:
-    """Map the three block means to {+1 bright, -1 dark, 0 vague}."""
+def encode_ternary(means, bright_min: float = 0.7, dark_max: float = 0.3) -> np.ndarray:
+    """Map block means to int codes {+1 bright, -1 dark, 0 vague}."""
     if not 0.0 <= dark_max < bright_min <= 1.0:
         raise BadThresholds(f"dark_max {dark_max}, bright_min {bright_min}")
-    out = []
-    for mean in segment.means:
-        if mean >= bright_min:
-            out.append(1)
-        elif mean <= dark_max:
-            out.append(-1)
-        else:
-            out.append(0)
-    return tuple(out)
+    means = np.asarray(means)
+    return np.where(means >= bright_min, 1, np.where(means <= dark_max, -1, 0))
 
 
 def classify_segment(encoded, net: HopfieldNet, start: int = 0,
@@ -196,27 +162,26 @@ def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[Inspec
     gray = to_grayscale(img)
     strip = extract_strip(gray, config.sigma, config.block_length, config.min_response)
     net = sidewalk_memory()
-    means = strip.means()
+    codes = encode_ternary(strip.means, config.bright_min, config.dark_max).tolist()
     decisions = []
     flagged = set()
-    for start in range(len(means) - 2):
-        segment = SegmentPattern(start, tuple(means[start:start + 3]))
-        encoded = encode_ternary(segment, config.bright_min, config.dark_max)
-        decision = classify_segment(encoded, net, start=start, max_iter=config.max_iter)
+    for start in range(len(codes) - 2):
+        decision = classify_segment(codes[start:start + 3], net, start=start,
+                                    max_iter=config.max_iter)
         decisions.append(decision)
         flagged.update(decision.paint_blocks)
 
     overlay_arr = gray.to_array().copy()
+    length = strip.block_length
     for idx in flagged:
-        b = strip.blocks[idx]
-        overlay_arr[b.y, b.x:b.x + b.width] = 255
-        overlay_arr[b.y + b.height - 1, b.x:b.x + b.width] = 255
-        overlay_arr[b.y:b.y + b.height, b.x] = 255
-        overlay_arr[b.y:b.y + b.height, b.x + b.width - 1] = 255
+        box = overlay_arr[strip.band_top:strip.band_top + length,
+                          idx * length:(idx + 1) * length]
+        box[[0, -1], :] = 255
+        box[:, [0, -1]] = 255
     overlay = Image.from_array(overlay_arr)
 
     report = InspectionReport(tuple(decisions), tuple(sorted(flagged)),
-                              strip.band_top, config.block_length, len(strip.blocks))
+                              strip.band_top, length, len(codes))
     return report, overlay
 
 

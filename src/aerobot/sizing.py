@@ -39,12 +39,6 @@ class MassEntry:
 class MassTable:
     entries: tuple
 
-    def total_grams(self) -> float:
-        return total_mass(self)
-
-    def total_kg(self) -> float:
-        return total_mass(self) / 1000.0
-
 
 def total_mass(table: MassTable) -> float:
     """Sum of unit mass times piece count, in grams."""

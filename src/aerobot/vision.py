@@ -156,7 +156,7 @@ def mexican_hat_kernel(sigma: float, radius: int | None = None) -> ResponseMap:
     The zero sum makes constant regions vanish under convolution. Radius
     defaults to ceil(4*sigma), which captures the full ripple.
     """
-    if sigma <= 0:
+    if not 0 < sigma < math.inf:
         raise NonPositiveSigma(f"sigma {sigma}")
     if radius is None:
         radius = math.ceil(4 * sigma)

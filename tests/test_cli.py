@@ -225,6 +225,13 @@ class TestInspectSidewalk:
         assert out == ""
         assert err.startswith("error: ConfigInvalid: block_length")
 
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma_is_a_typed_error(self, capsys, sidewalk_pgm, sigma):
+        code, out, err = run(capsys, "inspect-sidewalk", str(sidewalk_pgm), "--sigma", sigma)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: NonPositiveSigma: sigma")
+
 
 class TestThermal:
     def test_to_radiance(self, capsys):

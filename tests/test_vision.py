@@ -220,8 +220,9 @@ class TestMexicanHat:
         assert abs(k.values.sum()) < 1e-12
 
     def test_rejects_non_positive_sigma(self):
-        with pytest.raises(NonPositiveSigma):
-            mexican_hat_kernel(0.0)
+        for sigma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(NonPositiveSigma):
+                mexican_hat_kernel(sigma)
 
 
 def direct_convolve(arr, kernel):
