@@ -40,11 +40,6 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_files(files: list[tuple[str, bytes]]) -> None:
-    for path, data in files:
-        Path(path).write_bytes(data)
-
-
 def _cmd_otsu(args) -> int:
     img = _read_image(args.image)
     import numpy as np
@@ -52,11 +47,9 @@ def _cmd_otsu(args) -> int:
     from . import raster, vision
     img = raster.to_grayscale(img)
     t = vision.otsu_threshold(raster.histogram(img))
-    files = []
     if args.out:
         mask = np.where(img.to_array() > t, 255, 0).astype(np.uint8)
-        files.append((args.out, raster.write_pnm(raster.Image.from_array(mask))))
-    _write_files(files)
+        Path(args.out).write_bytes(raster.write_pnm(raster.Image.from_array(mask)))
     _emit({"threshold": t})
     return EXIT_OK
 
@@ -65,10 +58,8 @@ def _cmd_green_density(args) -> int:
     img = _read_image(args.image)
     from . import raster, vision
     result = vision.green_density(img, exg_threshold=args.threshold)
-    files = []
     if args.mask:
-        files.append((args.mask, raster.write_pnm(result.mask)))
-    _write_files(files)
+        Path(args.mask).write_bytes(raster.write_pnm(result.mask))
     _emit({"green_fraction": result.fraction, "exg_threshold": args.threshold})
     return EXIT_OK
 
@@ -108,12 +99,10 @@ def _cmd_inspect_sidewalk(args) -> int:
     config = sidewalk.InspectConfig(sigma=args.sigma, block_length=args.block)
     report, overlay = sidewalk.inspect(img, config)
     doc = report.to_dict()
-    files = []
     if args.overlay:
-        files.append((args.overlay, raster.write_pnm(overlay)))
+        Path(args.overlay).write_bytes(raster.write_pnm(overlay))
     if args.report:
-        files.append((args.report, (json.dumps(doc, indent=2) + "\n").encode()))
-    _write_files(files)
+        Path(args.report).write_bytes((json.dumps(doc, indent=2) + "\n").encode())
     _emit(doc)
     return EXIT_OK
 
@@ -146,18 +135,16 @@ def _cmd_simulate(args) -> int:
     cfg = sizing.SimConfig.from_json(Path(args.config).read_text())
     from . import flight
     trace = flight.simulate_hover(cfg)
-    files = []
     if args.trace:
-        files.append((args.trace, flight.trace_to_csv(trace).encode()))
-    _write_files(files)
+        Path(args.trace).write_bytes(flight.trace_to_csv(trace).encode())
     _emit({
         "steps": len(trace),
         "controller": cfg.controller,
-        "max_abs_roll_rad": max(abs(s.roll) for s in trace),
-        "max_abs_pitch_rad": max(abs(s.pitch) for s in trace),
+        "max_abs_roll_rad": float(abs(trace.roll).max()),
+        "max_abs_pitch_rad": float(abs(trace.pitch).max()),
         "max_abs_tilt_rad": flight.max_tilt(trace),
-        "final_roll_rad": trace[-1].roll,
-        "final_pitch_rad": trace[-1].pitch,
+        "final_roll_rad": float(trace.roll[-1]),
+        "final_pitch_rad": float(trace.pitch[-1]),
     })
     return EXIT_OK
 

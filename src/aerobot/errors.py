@@ -9,6 +9,10 @@ class AerobotError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class OutOfRange(AerobotError, ValueError):
+    """A number is non-finite or out of its supported range, or a result passes float range."""
+
+
 # raster -----------------------------------------------------------------
 
 class BadMagic(AerobotError):

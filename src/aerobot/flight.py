@@ -9,10 +9,10 @@ Euler keeps the undamped attitude dynamics bounded and reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigInvalid
 from .fuzzy import (
     N_ROTORS,
     ROTOR_AZIMUTHS_DEG,
@@ -34,84 +34,72 @@ from .sizing import (  # noqa: F401  re-exported
 )
 
 
-@dataclass(frozen=True)
-class HoverState:
-    """One trace sample: attitude, rates, rotor thrusts, and arm pose."""
-
-    t: float
-    roll: float
-    pitch: float
-    roll_rate: float
-    pitch_rate: float
-    rotor_thrusts: tuple
-    arm_azimuth: float
-    arm_extension: float
+# one trace record per step, in CSV column order, all float64: 120 B a step
+TRACE_DTYPE = np.dtype([
+    ("t", "f8"), ("roll", "f8"), ("pitch", "f8"), ("roll_rate", "f8"), ("pitch_rate", "f8"),
+    ("rotor_thrusts", "f8", (N_ROTORS,)), ("arm_azimuth", "f8"), ("arm_extension", "f8")])
 
 
-def _interp_trajectory(cfg: SimConfig, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    keys = np.array([k[0] for k in cfg.arm_trajectory])
-    azimuths = np.array([k[1] for k in cfg.arm_trajectory])
-    extensions = np.array([k[2] for k in cfg.arm_trajectory])
-    return np.interp(times, keys, azimuths), np.interp(times, keys, extensions)
+def _table(trace: np.recarray) -> np.ndarray:  # (steps, 15) float64 view, CSV column order
+    return np.asarray(trace).view((np.float64, N_ROTORS + 7))
 
 
-def simulate_hover(cfg: SimConfig) -> list[HoverState]:
-    """Integrate the reduced attitude model and record every step.
+def simulate_hover(cfg: SimConfig) -> np.recarray:
+    """Integrate the reduced attitude model; one `TRACE_DTYPE` record per step.
 
     Torques: rotor thrusts at ring positions plus the gravity torque of the
     arm point mass at its interpolated pose. Baseline thrusts hold hover
     (their sum is m*g); with the controller on, the fuzzy zero-sum deltas
-    ride on top, so the sum is preserved at every step.
+    ride on top, so the sum is preserved at every step. A state that
+    overflows (a vanishing inertia, say) raises ConfigInvalid.
     """
     n_steps = int(round(cfg.duration_s / cfg.dt_s))
-    times = np.arange(n_steps) * cfg.dt_s
-    azimuths, extensions = _interp_trajectory(cfg, times)
+    trace = np.recarray(n_steps, TRACE_DTYPE)
+    trace.t = np.arange(n_steps) * cfg.dt_s
+    keys, azimuths, extensions = zip(*cfg.arm_trajectory)
+    trace.arm_azimuth = np.interp(trace.t, keys, azimuths)
+    trace.arm_extension = np.interp(trace.t, keys, extensions)
 
     rad = np.deg2rad(np.asarray(ROTOR_AZIMUTHS_DEG))
     rotor_x = cfg.rotor_radius_m * np.cos(rad)
     rotor_y = cfg.rotor_radius_m * np.sin(rad)
-    hover_thrust = cfg.vehicle_mass_kg * GRAVITY / N_ROTORS
     arm_torque_scale = cfg.arm_mass_kg * GRAVITY * cfg.arm_reach_m
 
     # the arm part of the controller depends only on the known trajectory
+    thrusts = trace.rotor_thrusts
+    thrusts[:] = cfg.vehicle_mass_kg * GRAVITY / N_ROTORS
     if cfg.controller:
-        planned = hover_thrust + arm_compensation_deltas(azimuths, extensions)
-    else:
-        planned = np.full((n_steps, N_ROTORS), hover_thrust)
+        thrusts += arm_compensation_deltas(trace.arm_azimuth, trace.arm_extension)
 
+    attitude = _table(trace)[:, 1:5]
     roll = pitch = roll_rate = pitch_rate = 0.0
-    trace = []
-    for t, azimuth, extension, thrusts in zip(times.tolist(), azimuths.tolist(),
-                                              extensions.tolist(), planned):
+    for i, (azimuth, extension) in enumerate(zip(trace.arm_azimuth.tolist(),
+                                                 trace.arm_extension.tolist())):
+        attitude[i] = roll, pitch, roll_rate, pitch_rate
+        row = thrusts[i]
         if cfg.controller:
-            thrusts = thrusts + tilt_compensation_deltas(roll, pitch)
-        trace.append(HoverState(t, roll, pitch, roll_rate, pitch_rate,
-                                tuple(thrusts.tolist()), azimuth, extension))
+            row += tilt_compensation_deltas(roll, pitch)
 
         theta = math.radians(azimuth)
         lever = extension * arm_torque_scale
-        torque_x = float(thrusts @ rotor_y) - lever * math.sin(theta)
-        torque_y = -float(thrusts @ rotor_x) + lever * math.cos(theta)
+        torque_x = float(row @ rotor_y) - lever * math.sin(theta)
+        torque_y = -float(row @ rotor_x) + lever * math.cos(theta)
 
         roll_rate += cfg.dt_s * torque_x / cfg.inertia_kgm2
         pitch_rate += cfg.dt_s * torque_y / cfg.inertia_kgm2
         roll += cfg.dt_s * roll_rate
         pitch += cfg.dt_s * pitch_rate
+    if not np.isfinite(_table(trace)).all():
+        raise ConfigInvalid("the attitude overflowed to a non-finite value")
     return trace
 
 
-def max_tilt(trace: list[HoverState]) -> float:
+def max_tilt(trace: np.recarray) -> float:
     """Largest |roll| or |pitch| over a trace, radians."""
-    return max(max(abs(s.roll), abs(s.pitch)) for s in trace)
+    return float(max(np.abs(trace.roll).max(), np.abs(trace.pitch).max()))
 
 
-def trace_to_csv(trace: list[HoverState]) -> str:
-    header = ("t,roll,pitch,roll_rate,pitch_rate,"
-              + ",".join(f"thrust_{i}" for i in range(N_ROTORS))
-              + ",arm_azimuth,arm_extension")
-    rows = [header]
-    for s in trace:
-        thrust_cols = ",".join(repr(f) for f in s.rotor_thrusts)
-        rows.append(f"{s.t!r},{s.roll!r},{s.pitch!r},{s.roll_rate!r},{s.pitch_rate!r},"
-                    f"{thrust_cols},{s.arm_azimuth!r},{s.arm_extension!r}")
-    return "\n".join(rows) + "\n"
+def trace_to_csv(trace: np.recarray) -> str:
+    names = TRACE_DTYPE.names
+    header = ",".join([*names[:5], *(f"thrust_{i}" for i in range(N_ROTORS)), *names[6:]])
+    return "\n".join([header, *(",".join(map(repr, row)) for row in _table(trace).tolist())]) + "\n"

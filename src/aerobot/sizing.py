@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from .errors import BadRotorCount, ConfigInvalid, ParseError, SubUnitySafetyFactor
+from .errors import BadRotorCount, ConfigInvalid, OutOfRange, ParseError, SubUnitySafetyFactor
 
 GRAVITY = 9.80665  # m/s^2, standard
 # largest duration_s / dt_s accepted; bounds the trace and its allocations
@@ -29,10 +29,11 @@ class MassEntry:
     count: int
 
     def __post_init__(self):
-        if self.grams < 0:
-            raise ValueError(f"{self.name!r}: negative mass {self.grams}")
         if self.count < 1:
             raise ValueError(f"{self.name!r}: count {self.count} below 1")
+        # an int count past float range raises OverflowError here
+        if not 0 <= self.grams * self.count < math.inf:
+            raise ValueError(f"{self.name!r}: {self.count} x {self.grams} g not finite or < 0")
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def load_mass_table(source) -> MassTable:
             raise ParseError(str(exc), row=line_no) from exc
         try:
             entries.append(MassEntry(name, grams, count))
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise ParseError(str(exc), row=line_no) from exc
     return MassTable(tuple(entries))
 
@@ -99,6 +100,10 @@ class ThrustSpec:
         if self.safety_factor < 1.0:
             # a sub-unity margin would size rotors below hover weight
             raise SubUnitySafetyFactor(f"safety factor {self.safety_factor} < 1")
+        # one product catches a non-finite weight or factor and a thrust past float range
+        if not math.isfinite(2.0 * self.total_weight_kg * self.safety_factor * GRAVITY):
+            raise OutOfRange(f"weight {self.total_weight_kg} kg and safety factor "
+                             f"{self.safety_factor} give no finite thrust")
 
 
 def thrust_per_rotor(spec: ThrustSpec) -> float:

@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveSigma,
     NotGrayscale,
     NotRGB,
+    OutOfRange,
     ZeroVariance,
 )
 from .raster import Histogram, Image
@@ -33,6 +34,8 @@ from .thermal import (  # noqa: F401  re-exported
 )
 
 DEFAULT_EXG_THRESHOLD = 20
+# largest Mexican-hat kernel radius, px; bounds the (2r+1)^2 kernel and the FFT's 2r padding
+MAX_KERNEL_RADIUS = 256
 
 
 @dataclass(frozen=True)
@@ -154,10 +157,14 @@ def mexican_hat_kernel(sigma: float, radius: int | None = None) -> ResponseMap:
     """Square (1 - r^2/2s^2)exp(-r^2/2s^2) kernel, mean-shifted to sum to zero.
 
     The zero sum makes constant regions vanish under convolution. Radius
-    defaults to ceil(4*sigma), which captures the full ripple.
+    defaults to ceil(4*sigma), which captures the full ripple; a radius
+    above MAX_KERNEL_RADIUS raises OutOfRange before anything is built.
     """
     if not 0 < sigma < math.inf:
         raise NonPositiveSigma(f"sigma {sigma}")
+    # ceil(4 * sigma) passes an integer bound exactly when 4 * sigma does
+    if (4 * sigma if radius is None else radius) > MAX_KERNEL_RADIUS:
+        raise OutOfRange(f"kernel radius above {MAX_KERNEL_RADIUS}: sigma {sigma}, radius {radius}")
     if radius is None:
         radius = math.ceil(4 * sigma)
     if radius < 1:

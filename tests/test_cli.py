@@ -20,8 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def validate(payload: str, schema_name: str) -> dict:
-    doc = json.loads(payload)
+    doc = json.loads(payload, parse_constant=_refuse_constant)  # NaN and Infinity fail
     schema_text = resources.files("aerobot.assets.schemas") \
         .joinpath(f"{schema_name}.schema.json").read_text()
     jsonschema.validate(doc, json.loads(schema_text))
@@ -232,6 +236,16 @@ class TestInspectSidewalk:
         assert out == ""
         assert err.startswith("error: NonPositiveSigma: sigma")
 
+    @pytest.mark.parametrize("sigma", ["64.5", "1e3", "1e308"])
+    def test_huge_sigma_is_a_typed_error(self, capsys, tmp_path, sidewalk_pgm, sigma):
+        overlay = tmp_path / "overlay.pgm"
+        code, out, err = run(capsys, "inspect-sidewalk", str(sidewalk_pgm), "--sigma", sigma,
+                             "--overlay", str(overlay))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: OutOfRange: kernel radius")
+        assert not overlay.exists()
+
 
 class TestThermal:
     def test_to_radiance(self, capsys):
@@ -254,6 +268,21 @@ class TestThermal:
     def test_requires_exactly_one_mode(self, capsys):
         code, _, _ = run(capsys, "thermal")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--to-radiance", "1e100"],
+        ["--to-radiance", "nan"],
+        ["--to-radiance", "inf"],
+        ["--to-radiance", "-5"],
+        ["--to-temp", "nan"],
+        ["--to-temp", "inf"],
+        ["--to-temp", "1e305"],
+    ])
+    def test_out_of_range_is_a_typed_error(self, capsys, argv):
+        code, out, err = run(capsys, "thermal", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: OutOfRange: ")
 
 
 class TestThrust:
@@ -278,6 +307,32 @@ class TestThrust:
         code, _, err = run(capsys, "thrust", "--mass-table", str(path), "--rotors", "4")
         assert code == 1
         assert "ParseError" in err
+
+    @pytest.mark.parametrize("row", ["x,nan,1", "x,inf,1", "x,1.5,1" + "0" * 400],
+                             ids=["nan", "inf", "huge-count"])
+    def test_unusable_mass_row(self, capsys, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"name,grams,count\nok,10,1\n{row}\n")
+        code, out, err = run(capsys, "thrust", "--mass-table", str(path), "--rotors", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParseError: row 3: ")
+
+    def test_overflowing_total(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("name,grams,count\n" + "x,1e308,1\n" * 9)
+        code, out, err = run(capsys, "thrust", "--mass-table", str(path), "--rotors", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: OutOfRange: ")
+
+    @pytest.mark.parametrize("safety", ["nan", "inf", "1e308"])
+    def test_non_finite_safety(self, capsys, table_csv, safety):
+        code, out, err = run(capsys, "thrust", "--mass-table", str(table_csv),
+                             "--rotors", "4", "--safety", safety)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: OutOfRange: ")
 
 
 class TestSimulate:
@@ -331,6 +386,21 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ParseError: ")
+
+    @pytest.mark.parametrize("text", [
+        '{"inertia_kgm2": 1e-320, "duration_s": 0.01, "controller": false}',
+        '{"inertia_kgm2": 1e-310, "duration_s": 0.5, "dt_s": 0.01, "controller": false}',
+    ])
+    def test_divergent_run_is_a_typed_error(self, capsys, tmp_path, text):
+        path = tmp_path / "sim.json"
+        path.write_text(text)
+        trace_path = tmp_path / "trace.csv"
+        code, out, err = run(capsys, "simulate", "--config", str(path),
+                             "--trace", str(trace_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ConfigInvalid: ")
+        assert not trace_path.exists()
 
     def test_non_boolean_controller(self, capsys, tmp_path):
         path = tmp_path / "sim.json"

@@ -1,13 +1,23 @@
 import hashlib
 import io
+import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from aerobot.errors import BadRotorCount, ConfigInvalid, ParseError, SubUnitySafetyFactor
+from aerobot.errors import (
+    BadRotorCount,
+    ConfigInvalid,
+    OutOfRange,
+    ParseError,
+    SubUnitySafetyFactor,
+)
 from aerobot.flight import (
     GRAVITY,
     MAX_STEPS,
+    TRACE_DTYPE,
     MassEntry,
     MassTable,
     SimConfig,
@@ -20,6 +30,12 @@ from aerobot.flight import (
     thrust_per_rotor,
     total_mass,
     trace_to_csv,
+)
+from aerobot.fuzzy import (
+    N_ROTORS,
+    ROTOR_AZIMUTHS_DEG,
+    arm_compensation_deltas,
+    tilt_compensation_deltas,
 )
 
 
@@ -42,6 +58,11 @@ class TestMassTable:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             MassEntry("x", 1.0, 0)
+
+    @pytest.mark.parametrize("grams", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, grams):
+        with pytest.raises(ValueError, match="not finite"):
+            MassEntry("x", grams, 1)
 
 
 class TestLoadMassTable:
@@ -76,6 +97,21 @@ class TestLoadMassTable:
         with pytest.raises(ParseError):
             load_mass_table(io.StringIO(""))
 
+    @pytest.mark.parametrize("grams", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_grams_parse_error_with_row(self, grams):
+        with pytest.raises(ParseError, match="not finite") as err:
+            load_mass_table(f"name,grams,count\nok,10,1\nbad,{grams},1\n")
+        assert err.value.row == 3
+
+    @pytest.mark.parametrize("grams, count", [
+        ("1e300", "1" + "0" * 10),  # the row's mass is inf
+        ("1.5", "1" + "0" * 400),  # the count is past float range
+    ])
+    def test_overflowing_row_parse_error_with_row(self, grams, count):
+        with pytest.raises(ParseError) as err:
+            load_mass_table(f"name,grams,count\nok,10,1\nbad,{grams},{count}\n")
+        assert err.value.row == 3
+
 
 class TestThrust:
     def test_hand_example(self):
@@ -105,6 +141,15 @@ class TestThrust:
             assert thrust_per_rotor(ThrustSpec(7.0, 4, 1.1 * s_scale)) == pytest.approx(base * s_scale)
         for n in (4, 6, 8):
             assert thrust_per_rotor(ThrustSpec(7.0, n, 1.1)) == pytest.approx(base * 4 / n)
+
+    @pytest.mark.parametrize("weight, safety", [
+        (math.nan, 1.2), (math.inf, 1.2), (10.0, math.nan), (10.0, math.inf),
+        (0.0, math.inf),  # 0 * inf is NaN
+        (1e305, 1e5),  # both finite, the thrust is not
+    ])
+    def test_non_finite_thrust_rejected(self, weight, safety):
+        with pytest.raises(OutOfRange, match="finite"):
+            ThrustSpec(weight, 4, safety)
 
     def test_newtons(self):
         assert kgf_to_newtons(1.0) == pytest.approx(9.80665)
@@ -141,7 +186,7 @@ class TestSimulate:
     def test_deterministic_traces(self):
         a = simulate_hover(short_config())
         b = simulate_hover(short_config())
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_mirrored_azimuth_negates_roll_preserves_pitch(self):
         fwd = simulate_hover(short_config(
@@ -265,3 +310,135 @@ class TestSimulate:
         assert header[13:] == ["arm_azimuth", "arm_extension"]
         assert len(lines) == 11
         assert all(len(line.split(",")) == 15 for line in lines[1:])
+
+    def test_trace_is_one_record_array(self):
+        trace = simulate_hover(short_config(duration_s=0.05, dt_s=0.01))
+        assert isinstance(trace, np.recarray)
+        assert trace.dtype == TRACE_DTYPE
+        assert trace.shape == (5,)
+        assert trace.rotor_thrusts.shape == (5, N_ROTORS)
+        assert trace[3].roll == trace.roll[3]
+        assert np.array_equal(trace[3].rotor_thrusts, trace.rotor_thrusts[3])
+
+    @pytest.mark.parametrize("text", [
+        '{"inertia_kgm2": 1e-320, "duration_s": 0.01, "controller": false}',
+        '{"inertia_kgm2": 1e-310, "duration_s": 0.5, "dt_s": 0.01, "controller": false}',
+    ])
+    def test_divergent_state_is_a_config_error(self, text):
+        with pytest.raises(ConfigInvalid, match="non-finite"):
+            simulate_hover(SimConfig.from_json(text))
+
+    def test_retained_trace_memory_per_step(self):
+        cfg = short_config(controller=False, duration_s=1.0)
+        simulate_hover(cfg)
+        tracemalloc.start()
+        try:
+            trace = simulate_hover(cfg)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained / len(trace) <= 160
+
+
+# The per-state simulator the record-array trace replaced, kept as its oracle:
+# one frozen HoverState per step, columns rebuilt from the objects.
+
+@dataclass(frozen=True)
+class HoverState:
+    t: float
+    roll: float
+    pitch: float
+    roll_rate: float
+    pitch_rate: float
+    rotor_thrusts: tuple
+    arm_azimuth: float
+    arm_extension: float
+
+
+def simulate_hover_oracle(cfg: SimConfig) -> list:
+    n_steps = int(round(cfg.duration_s / cfg.dt_s))
+    times = np.arange(n_steps) * cfg.dt_s
+    keys = np.array([k[0] for k in cfg.arm_trajectory])
+    azimuths = np.interp(times, keys, np.array([k[1] for k in cfg.arm_trajectory]))
+    extensions = np.interp(times, keys, np.array([k[2] for k in cfg.arm_trajectory]))
+
+    rad = np.deg2rad(np.asarray(ROTOR_AZIMUTHS_DEG))
+    rotor_x = cfg.rotor_radius_m * np.cos(rad)
+    rotor_y = cfg.rotor_radius_m * np.sin(rad)
+    hover_thrust = cfg.vehicle_mass_kg * GRAVITY / N_ROTORS
+    arm_torque_scale = cfg.arm_mass_kg * GRAVITY * cfg.arm_reach_m
+    if cfg.controller:
+        planned = hover_thrust + arm_compensation_deltas(azimuths, extensions)
+    else:
+        planned = np.full((n_steps, N_ROTORS), hover_thrust)
+
+    roll = pitch = roll_rate = pitch_rate = 0.0
+    trace = []
+    for t, azimuth, extension, thrusts in zip(times.tolist(), azimuths.tolist(),
+                                              extensions.tolist(), planned):
+        if cfg.controller:
+            thrusts = thrusts + tilt_compensation_deltas(roll, pitch)
+        trace.append(HoverState(t, roll, pitch, roll_rate, pitch_rate,
+                                tuple(thrusts.tolist()), azimuth, extension))
+        theta = math.radians(azimuth)
+        lever = extension * arm_torque_scale
+        torque_x = float(thrusts @ rotor_y) - lever * math.sin(theta)
+        torque_y = -float(thrusts @ rotor_x) + lever * math.cos(theta)
+        roll_rate += cfg.dt_s * torque_x / cfg.inertia_kgm2
+        pitch_rate += cfg.dt_s * torque_y / cfg.inertia_kgm2
+        roll += cfg.dt_s * roll_rate
+        pitch += cfg.dt_s * pitch_rate
+    return trace
+
+
+def max_tilt_oracle(trace: list) -> float:
+    return max(max(abs(s.roll), abs(s.pitch)) for s in trace)
+
+
+def trace_to_csv_oracle(trace: list) -> str:
+    header = ("t,roll,pitch,roll_rate,pitch_rate,"
+              + ",".join(f"thrust_{i}" for i in range(N_ROTORS))
+              + ",arm_azimuth,arm_extension")
+    rows = [header]
+    for s in trace:
+        thrust_cols = ",".join(repr(f) for f in s.rotor_thrusts)
+        rows.append(f"{s.t!r},{s.roll!r},{s.pitch!r},{s.roll_rate!r},{s.pitch_rate!r},"
+                    f"{thrust_cols},{s.arm_azimuth!r},{s.arm_extension!r}")
+    return "\n".join(rows) + "\n"
+
+
+def oracle_config(seed: int) -> SimConfig:
+    """Seeded config: controller on for even seeds, 1 to 6 keyframes, one of four steps."""
+    rng = np.random.default_rng(seed)
+    dt = (0.001, 0.002, 0.005, 0.01)[seed % 4]
+    duration = float(rng.uniform(0.04, 0.25))
+    k = seed % 6 + 1
+    times = np.sort(rng.uniform(0.0, duration, k))
+    times[0] = 0.0
+    extensions = rng.uniform(0.0, 1.0, k)
+    extensions[rng.random(k) < 0.2] = 1.0  # the arm fully out, and sometimes fully in
+    extensions[rng.random(k) < 0.1] = 0.0
+    return SimConfig(
+        vehicle_mass_kg=float(rng.uniform(20.0, 40.0)),
+        rotor_radius_m=float(rng.uniform(0.3, 0.7)),
+        inertia_kgm2=float(rng.uniform(0.4, 1.2)),
+        arm_mass_kg=float(rng.uniform(0.0, 1.5)),
+        arm_reach_m=float(rng.uniform(0.2, 0.9)),
+        dt_s=dt, duration_s=duration, controller=seed % 2 == 0,
+        arm_trajectory=tuple(zip(times.tolist(), np.cumsum(rng.uniform(-400, 400, k)).tolist(),
+                                 extensions.tolist())))
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_trace_matches_per_state_oracle(seed):
+    cfg = oracle_config(seed)
+    expected = simulate_hover_oracle(cfg)
+    trace = simulate_hover(cfg)
+    assert trace_to_csv(trace) == trace_to_csv_oracle(expected)
+    assert max_tilt(trace) == max_tilt_oracle(expected)
+    assert len(trace) == len(expected)
+    for row, state in zip(trace, expected):
+        assert (row.t, row.roll, row.pitch, row.roll_rate, row.pitch_rate,
+                tuple(row.rotor_thrusts.tolist()), row.arm_azimuth, row.arm_extension) == (
+            state.t, state.roll, state.pitch, state.roll_rate, state.pitch_rate,
+            state.rotor_thrusts, state.arm_azimuth, state.arm_extension)

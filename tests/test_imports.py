@@ -41,9 +41,19 @@ def loaded_by(*argv, cwd=None):
     (["inspect-sidewalk", "missing.pgm"], 1),
     (["simulate", "--config", "missing.json"], 1),
     (["simulate", "--config", "bad.json"], 1),
+    (["thermal", "--to-radiance", "1e100"], 1),
+    (["thermal", "--to-radiance", "nan"], 1),
+    (["thermal", "--to-radiance", "-5"], 1),
+    (["thermal", "--to-temp", "inf"], 1),
+    (["thrust", "--mass-table", str(SRC / "aerobot" / "assets" / "table1.csv"),
+      "--rotors", "4", "--safety", "nan"], 1),
+    (["thrust", "--mass-table", "nan.csv", "--rotors", "4"], 1),
+    (["thrust", "--mass-table", "huge.csv", "--rotors", "4"], 1),
 ])
 def test_light_calls_never_load_numpy(tmp_path, argv, code):
     (tmp_path / "bad.json").write_text('{"dt_s": -1}')
+    (tmp_path / "nan.csv").write_text("name,grams,count\nx,nan,1\n")
+    (tmp_path / "huge.csv").write_text("name,grams,count\n" + "x,1e308,1\n" * 9)
     got, modules = loaded_by(*argv, cwd=tmp_path)
     assert got == code
     assert "numpy" not in modules

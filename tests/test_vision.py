@@ -17,10 +17,12 @@ from aerobot.errors import (
     NonPositiveSigma,
     NotGrayscale,
     NotRGB,
+    OutOfRange,
     ZeroVariance,
 )
 from aerobot.raster import Histogram, Image, histogram
 from aerobot.vision import (
+    MAX_KERNEL_RADIUS,
     STEFAN_BOLTZMANN,
     GaborParams,
     default_gabor_bank,
@@ -223,6 +225,26 @@ class TestMexicanHat:
         for sigma in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(NonPositiveSigma):
                 mexican_hat_kernel(sigma)
+
+    def test_radius_bound_edge(self):
+        sigma = MAX_KERNEL_RADIUS / 4
+        assert mexican_hat_kernel(sigma).width == 2 * MAX_KERNEL_RADIUS + 1
+        assert mexican_hat_kernel(1.0, radius=MAX_KERNEL_RADIUS).width == 2 * MAX_KERNEL_RADIUS + 1
+        with pytest.raises(OutOfRange):
+            mexican_hat_kernel(math.nextafter(sigma, math.inf))
+        with pytest.raises(OutOfRange):
+            mexican_hat_kernel(1.0, radius=MAX_KERNEL_RADIUS + 1)
+
+    @pytest.mark.parametrize("sigma", [1e3, 1e100, 1e308])  # 4 * 1e308 overflows to inf
+    def test_huge_sigma_refused_before_allocating(self, sigma):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange):
+                wavelet_response(gray(np.zeros((4, 4))), sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def direct_convolve(arr, kernel):
@@ -910,3 +932,20 @@ class TestThermal:
     def test_negative_temperature(self):
         with pytest.raises(ValueError):
             temperature_to_radiance(-5.0)
+
+    @pytest.mark.parametrize("convert, value", [
+        (temperature_to_radiance, -5.0),
+        (temperature_to_radiance, math.nan),
+        (temperature_to_radiance, math.inf),
+        (temperature_to_radiance, 1e100),  # T**4 overflows
+        (radiance_to_temperature, math.nan),
+        (radiance_to_temperature, math.inf),
+        (radiance_to_temperature, 1e305),  # P / sigma overflows to inf
+    ])
+    def test_out_of_range_is_typed(self, convert, value):
+        with pytest.raises(OutOfRange):
+            convert(value)
+
+    def test_largest_finite_conversions(self):
+        assert math.isfinite(temperature_to_radiance(1e77))
+        assert math.isfinite(radiance_to_temperature(1e300))
