@@ -75,7 +75,7 @@ class NegativeRadiance(AerobotError):
 # neural -----------------------------------------------------------------
 
 class BadTopology(AerobotError):
-    """Network needs >= 3 layers, every layer size >= 1."""
+    """Network needs >= 3 layers, every layer size >= 1, at most MAX_PARAMETERS parameters."""
 
 
 class DimensionMismatch(AerobotError):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, OutOfRange
 from .fuzzy import (
     N_ROTORS,
     ROTOR_AZIMUTHS_DEG,
@@ -78,7 +78,10 @@ def simulate_hover(cfg: SimConfig) -> np.recarray:
         attitude[i] = roll, pitch, roll_rate, pitch_rate
         row = thrusts[i]
         if cfg.controller:
-            row += tilt_compensation_deltas(roll, pitch)
+            try:
+                row += tilt_compensation_deltas(roll, pitch)
+            except OutOfRange:  # row i holds the overflowed attitude, which fails the check below
+                break
 
         theta = math.radians(azimuth)
         lever = extension * arm_torque_scale

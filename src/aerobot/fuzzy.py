@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import NoRuleFired, ParseError
+from .errors import NoRuleFired, OutOfRange, ParseError
 
 N_ROTORS = 8
 # bounds on the output sample grid; the upper one caps each curve's allocation
@@ -372,7 +372,7 @@ def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
 def tilt_compensation_deltas(roll: float, pitch: float) -> np.ndarray:
     """Zero-sum deltas (8,) boosting the rotors whose lift opposes the tilt."""
     if not (math.isfinite(roll) and math.isfinite(pitch)):
-        raise ValueError(f"tilt ({roll}, {pitch}) is not finite")
+        raise OutOfRange(f"tilt ({roll}, {pitch}) is not finite")
     magnitude = math.hypot(roll, pitch)
     if magnitude == 0.0:
         return np.zeros(N_ROTORS)

@@ -8,7 +8,6 @@ decision memory of the sidewalk pipeline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,9 @@ SIGMOID = "sigmoid"
 RELU = "relu"
 LEAKY_RELU = "leaky_relu"
 _KINDS = (SIGMOID, RELU, LEAKY_RELU)
+# weights plus biases of one MLP; bounds what a layer list allocates and the
+# two forward passes per parameter that gradient_check runs
+MAX_PARAMETERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class Activation:
         """Derivative at the pre-activation x; the ReLU kink at 0 maps to 0."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == SIGMOID:
-            s = 1.0 / (1.0 + np.exp(-x))
+            s = self(x)
             return s * (1.0 - s)
         if self.kind == RELU:
             return np.where(x > 0.0, 1.0, 0.0)
@@ -86,6 +88,9 @@ def mlp_init(layer_sizes, activation: Activation, seed: int) -> Mlp:
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 3 or any(s < 1 for s in sizes):
         raise BadTopology(f"layer sizes {sizes}")
+    n_params = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    if n_params > MAX_PARAMETERS:
+        raise BadTopology(f"{n_params} weights and biases, above the budget of {MAX_PARAMETERS}")
     rng = np.random.default_rng(seed)
     weights = [rng.uniform(-0.5, 0.5, size=(sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
     biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
@@ -93,65 +98,65 @@ def mlp_init(layer_sizes, activation: Activation, seed: int) -> Mlp:
 
 
 def _forward(net: Mlp, x: np.ndarray):
-    """All pre-activations and activations, input layer included in the latter."""
-    if x.shape != (net.layer_sizes[0],):
-        raise DimensionMismatch(f"input shaped {x.shape}, expected ({net.layer_sizes[0]},)")
+    """Pre-activations and activations (input included) of one input (n0,) or a batch (rows, n0)."""
+    if x.shape[-1:] != (net.layer_sizes[0],):
+        raise DimensionMismatch(f"input shaped {x.shape}, expected (..., {net.layer_sizes[0]})")
     activations = [x]
     pre = []
     for w, b in zip(net.weights, net.biases):
-        z = w @ activations[-1] + b
+        z = activations[-1] @ w.T + b
         pre.append(z)
         activations.append(net.activation(z))
     return pre, activations
 
 
 def mlp_forward(net: Mlp, x) -> list:
-    """Per-layer activations of one input vector, input layer first."""
+    """Per-layer activations of one input vector or a batch of rows, input layer first."""
     _, activations = _forward(net, np.asarray(x, dtype=np.float64))
     return activations
 
 
-def _backprop(net: Mlp, x: np.ndarray, target: np.ndarray):
-    """Gradients of the squared-error term ||y - t||^2 / n_out for one pair."""
-    if target.shape != (net.layer_sizes[-1],):
-        raise DimensionMismatch(f"target shaped {target.shape}, expected ({net.layer_sizes[-1]},)")
+def _matrix(rows, what: str) -> np.ndarray:
+    """Equal-length vectors stacked into one float64 matrix, a row each."""
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:
+        if len({np.shape(r) for r in rows}) > 1:
+            raise DimensionMismatch(f"{what} rows of different lengths") from None
+        raise
+
+
+def _gradients(net: Mlp, x: np.ndarray, target: np.ndarray):
+    """Row-mean weight and bias gradients of ||y - t||^2 / n_out, its mean, the pre-activations.
+
+    x is (rows, n0) and target (rows, n_out): one forward and one backward pass.
+    """
+    if x.ndim != 2 or target.shape != (len(x), net.layer_sizes[-1]):
+        raise DimensionMismatch(f"inputs shaped {x.shape} and targets {target.shape}")
     pre, acts = _forward(net, x)
-    n_out = net.layer_sizes[-1]
-    delta = 2.0 * (acts[-1] - target) / n_out * net.activation.deriv(pre[-1])
+    rows, n_out = target.shape
+    err = acts[-1] - target
+    delta = 2.0 * err / n_out * net.activation.deriv(pre[-1])
     grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = np.outer(delta, acts[i])
-        grads_b[i] = delta
+        grads_w[i] = delta.T @ acts[i] / rows
+        grads_b[i] = delta.mean(axis=0)
         if i > 0:
-            delta = (net.weights[i].T @ delta) * net.activation.deriv(pre[i - 1])
-    loss = float(np.mean((acts[-1] - target) ** 2))
-    return grads_w, grads_b, loss
-
-
-def _batch_gradients(net: Mlp, batch):
-    if not batch:
-        raise EmptyDataset("batch is empty")
-    sum_w = [np.zeros_like(w) for w in net.weights]
-    sum_b = [np.zeros_like(b) for b in net.biases]
-    total_loss = 0.0
-    for x, target in batch:
-        gw, gb, loss = _backprop(net, np.asarray(x, dtype=np.float64),
-                                 np.asarray(target, dtype=np.float64))
-        for acc, g in zip(sum_w, gw):
-            acc += g
-        for acc, g in zip(sum_b, gb):
-            acc += g
-        total_loss += loss
-    m = len(batch)
-    return [g / m for g in sum_w], [g / m for g in sum_b], total_loss / m
+            delta = (delta @ net.weights[i]) * net.activation.deriv(pre[i - 1])
+    # every row has n_out entries, so this is also the mean of the per-row MSEs
+    return grads_w, grads_b, float(np.mean(err ** 2)), pre
 
 
 def mlp_train_step(net: Mlp, batch, learning_rate: float) -> tuple[Mlp, float]:
     """One batch-averaged gradient descent step; returns the pre-update MSE."""
     if learning_rate < 0:
         raise ValueError(f"learning rate {learning_rate}")
-    grads_w, grads_b, loss = _batch_gradients(net, batch)
+    if not batch:
+        raise EmptyDataset("batch is empty")
+    inputs, targets = zip(*batch)
+    grads_w, grads_b, loss, _ = _gradients(net, _matrix(inputs, "input"),
+                                           _matrix(targets, "target"))
     for w, g in zip(net.weights, grads_w):
         w -= learning_rate * g
     for b, g in zip(net.biases, grads_b):
@@ -167,13 +172,13 @@ def gradient_check(net: Mlp, x, target, epsilon: float = 1e-5) -> float:
     """
     if not 0.0 < epsilon <= 1e-2:
         raise ValueError(f"epsilon {epsilon} outside (0, 1e-2]")
-    x = np.asarray(x, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    grads_w, grads_b, _ = _batch_gradients(net, [(x, target)])
+    x = np.asarray(x, dtype=np.float64)[None]
+    target = np.asarray(target, dtype=np.float64)[None]
+    grads_w, grads_b, _, _ = _gradients(net, x, target)
 
     def loss_now():
-        _, _, loss = _backprop(net, x, target)
-        return loss
+        _, acts = _forward(net, x)
+        return float(np.mean((acts[-1] - target) ** 2))
 
     worst = 0.0
     for params, grads in ((net.weights, grads_w), (net.biases, grads_b)):
@@ -218,29 +223,19 @@ class GradientReport:
 
 
 def diagnose(net: Mlp, dataset) -> GradientReport:
-    """Dead-unit and gradient-magnitude report over a set of inputs.
+    """Dead-unit and gradient-magnitude report over a sequence of inputs or a (rows, n0) array.
 
     A neuron is dead only under ReLU, when its pre-activation is negative for
     every input (zero output, zero gradient, no influence downstream). The
     gradient magnitudes come from one backprop pass of the squared error
     against zero targets, averaged over the dataset.
     """
-    inputs = [np.asarray(x, dtype=np.float64) for x in dataset]
-    if not inputs:
+    x = _matrix(dataset, "input")
+    if len(x) == 0:
         raise EmptyDataset("dataset is empty")
-    n_layers = len(net.weights)
-    always_negative = [np.ones(net.layer_sizes[i + 1], dtype=bool) for i in range(n_layers)]
-    for x in inputs:
-        pre, _ = _forward(net, x)
-        for i, z in enumerate(pre):
-            always_negative[i] &= z < 0.0
-    if net.activation.kind == RELU:
-        dead = tuple(tuple(bool(f) for f in flags) for flags in always_negative)
-    else:
-        dead = tuple(tuple(False for _ in flags) for flags in always_negative)
-
-    zero_target = np.zeros(net.layer_sizes[-1])
-    grads_w, _, _ = _batch_gradients(net, [(x, zero_target) for x in inputs])
+    grads_w, _, _, pre = _gradients(net, x, np.zeros((len(x), net.layer_sizes[-1])))
+    relu = net.activation.kind == RELU
+    dead = tuple(tuple(((z < 0.0).all(axis=0) & relu).tolist()) for z in pre)
     means = tuple(float(np.mean(np.abs(g))) for g in grads_w)
     return GradientReport(means, dead)
 
@@ -266,14 +261,12 @@ def _check_bipolar(pattern, n: int) -> np.ndarray:
 
 
 def hopfield_train(patterns, n: int) -> HopfieldNet:
-    """Hebbian storage: W = (1/n) sum of outer products, diagonal forced to 0."""
+    """Hebbian storage: W = P^T P / n over the pattern rows P, diagonal forced to 0."""
     checked = [_check_bipolar(p, n) for p in patterns]
     if not checked:
         raise ValueError("need at least one pattern")
-    weights = np.zeros((n, n))
-    for p in checked:
-        weights += np.outer(p, p)
-    weights /= n
+    stacked = np.array(checked)
+    weights = stacked.T @ stacked / n
     np.fill_diagonal(weights, 0.0)
     return HopfieldNet(n, weights, tuple(tuple(int(v) for v in p) for p in checked))
 
@@ -307,57 +300,3 @@ def hopfield_energy(net: HopfieldNet, state) -> float:
     """Attractor energy E = -1/2 s^T W s of a bipolar state."""
     s = _check_bipolar(state, net.n)
     return float(-0.5 * s @ net.weights @ s)
-
-
-# Serialization ------------------------------------------------------------
-
-MLP_FORMAT = "aerobot-mlp"
-HOPFIELD_FORMAT = "aerobot-hopfield"
-_FORMAT_VERSION = 1
-
-
-def mlp_to_json(net: Mlp) -> str:
-    doc = {
-        "format": MLP_FORMAT,
-        "version": _FORMAT_VERSION,
-        "layer_sizes": list(net.layer_sizes),
-        "activation": net.activation.kind,
-        "alpha": net.activation.alpha,
-        "seed": net.seed,
-        "weights": [w.reshape(-1).tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-    return json.dumps(doc)
-
-
-def mlp_from_json(text: str) -> Mlp:
-    doc = json.loads(text)
-    if doc.get("format") != MLP_FORMAT or doc.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"not a {MLP_FORMAT} v{_FORMAT_VERSION} document")
-    sizes = tuple(doc["layer_sizes"])
-    net = Mlp(sizes, Activation(doc["activation"], doc["alpha"]), doc["seed"])
-    for i, flat in enumerate(doc["weights"]):
-        net.weights.append(np.array(flat).reshape(sizes[i + 1], sizes[i]))
-    for b in doc["biases"]:
-        net.biases.append(np.array(b))
-    return net
-
-
-def hopfield_to_json(net: HopfieldNet) -> str:
-    doc = {
-        "format": HOPFIELD_FORMAT,
-        "version": _FORMAT_VERSION,
-        "n": net.n,
-        "weights": net.weights.reshape(-1).tolist(),
-        "stored_patterns": [list(p) for p in net.stored_patterns],
-    }
-    return json.dumps(doc)
-
-
-def hopfield_from_json(text: str) -> HopfieldNet:
-    doc = json.loads(text)
-    if doc.get("format") != HOPFIELD_FORMAT or doc.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"not a {HOPFIELD_FORMAT} v{_FORMAT_VERSION} document")
-    n = doc["n"]
-    weights = np.array(doc["weights"]).reshape(n, n)
-    return HopfieldNet(n, weights, tuple(tuple(p) for p in doc["stored_patterns"]))

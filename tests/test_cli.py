@@ -390,6 +390,7 @@ class TestSimulate:
     @pytest.mark.parametrize("text", [
         '{"inertia_kgm2": 1e-320, "duration_s": 0.01, "controller": false}',
         '{"inertia_kgm2": 1e-310, "duration_s": 0.5, "dt_s": 0.01, "controller": false}',
+        '{"inertia_kgm2": 1e-320, "duration_s": 0.01}',
     ])
     def test_divergent_run_is_a_typed_error(self, capsys, tmp_path, text):
         path = tmp_path / "sim.json"
@@ -430,6 +431,14 @@ class TestNnDemo:
     def test_requires_mode(self, capsys):
         code, _, _ = run(capsys, "nn-demo")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["--diagnose", "--gradient-check"])
+    def test_parameter_budget(self, capsys, mode):
+        # 3 * 1 + 2 * 4999 = MAX_PARAMETERS + 1 weights and biases
+        code, out, err = run(capsys, "nn-demo", mode, "--layers", "2,1,4999")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BadTopology: 10001 weights")
 
 
 class TestContract:
@@ -541,7 +550,8 @@ class TestGoldenStdout:
         assert sorted(calls) == sorted(golden)
         assert {argv[0] for argv in calls.values()} == set(
             cli.build_parser()._subparsers._group_actions[0].choices)
+        outs = {}
         for name, argv in calls.items():
-            code, out, err = run(capsys, *argv)
+            code, outs[name], err = run(capsys, *argv)
             assert (code, err) == (0, ""), name
-            assert out == golden[name], name
+        assert outs == golden  # a failure names every moved entry

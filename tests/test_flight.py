@@ -323,6 +323,7 @@ class TestSimulate:
     @pytest.mark.parametrize("text", [
         '{"inertia_kgm2": 1e-320, "duration_s": 0.01, "controller": false}',
         '{"inertia_kgm2": 1e-310, "duration_s": 0.5, "dt_s": 0.01, "controller": false}',
+        '{"inertia_kgm2": 1e-320, "duration_s": 0.01}',
     ])
     def test_divergent_state_is_a_config_error(self, text):
         with pytest.raises(ConfigInvalid, match="non-finite"):

@@ -1,10 +1,11 @@
+import copy
 import itertools
-import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from aerobot import neural
 from aerobot.errors import (
     BadTopology,
     DimensionMismatch,
@@ -15,6 +16,7 @@ from aerobot.errors import (
 )
 from aerobot.neural import (
     LEAKY_RELU,
+    MAX_PARAMETERS,
     RELU,
     SIGMOID,
     Activation,
@@ -23,15 +25,12 @@ from aerobot.neural import (
     activate_deriv,
     diagnose,
     gradient_check,
+    HopfieldNet,
     hopfield_energy,
-    hopfield_from_json,
     hopfield_recall,
-    hopfield_to_json,
     hopfield_train,
     mlp_forward,
-    mlp_from_json,
     mlp_init,
-    mlp_to_json,
     mlp_train_step,
 )
 
@@ -163,16 +162,52 @@ class TestMlp:
             net, loss = mlp_train_step(net, xor, 0.5)
         assert loss < 0.05
 
-    def test_json_round_trip(self):
-        net = mlp_init((2, 4, 3), Activation(LEAKY_RELU, 0.02), 9)
-        mlp_train_step(net, [((0.1, 0.9), (0.0, 1.0, 0.5))], 0.3)
-        clone = mlp_from_json(mlp_to_json(net))
-        assert clone.layer_sizes == net.layer_sizes
-        assert clone.activation == net.activation
-        for wa, wb in zip(clone.weights, net.weights):
-            assert np.array_equal(wa, wb)
-        doc = json.loads(mlp_to_json(net))
-        assert doc["format"] == "aerobot-mlp" and doc["version"] == 1
+    def test_ragged_batch(self):
+        net = mlp_init((2, 3, 1), Activation(SIGMOID), 0)
+        with pytest.raises(DimensionMismatch, match="input rows"):
+            mlp_train_step(net, [((0.1, 0.2), (0.5,)), ((0.1, 0.2, 0.3), (0.5,))], 0.1)
+        with pytest.raises(DimensionMismatch, match="target rows"):
+            mlp_train_step(net, [((0.1, 0.2), (0.5,)), ((0.1, 0.2), (0.5, 0.5))], 0.1)
+
+    @pytest.mark.parametrize("x, target", [
+        ((0.1, 0.2, 0.3), (0.5,)),    # input width
+        ((0.1, 0.2), (0.5, 0.5)),     # target width
+        (0.1, (0.5,)),                # a scalar input
+        (((0.1, 0.2),), (0.5,)),      # a matrix input
+    ])
+    def test_batch_of_wrong_shapes(self, x, target):
+        net = mlp_init((2, 3, 1), Activation(SIGMOID), 0)
+        with pytest.raises(DimensionMismatch):
+            mlp_train_step(net, [(x, target)] * 2, 0.1)
+
+    def test_empty_batch(self):
+        with pytest.raises(EmptyDataset):
+            mlp_train_step(mlp_init((2, 3, 1), Activation(SIGMOID), 0), [], 0.1)
+
+    def test_batch_forward_matches_rows(self):
+        net = mlp_init((3, 5, 4, 2), Activation(LEAKY_RELU), 6)
+        x = np.random.default_rng(6).uniform(-1, 1, size=(7, 3))
+        batch = mlp_forward(net, x)
+        for i, row in enumerate(x):
+            for layer, acts in zip(batch, mlp_forward(net, row)):
+                np.testing.assert_allclose(layer[i], acts, rtol=1e-12)
+
+    def test_parameter_budget(self, monkeypatch):
+        # (1, 1, n) holds 2 + 2n weights and biases, (2, 1, n) 3 + 2n
+        class Allocated(Exception):
+            pass
+
+        def fail(seed):
+            raise Allocated(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        n = (MAX_PARAMETERS - 2) // 2
+        with pytest.raises(Allocated):
+            mlp_init((1, 1, n), Activation(SIGMOID), 0)
+        with pytest.raises(BadTopology, match=f"{MAX_PARAMETERS + 1} weights"):
+            mlp_init((2, 1, n), Activation(SIGMOID), 0)
+        with pytest.raises(BadTopology):
+            mlp_init((2, 200_000, 200_000, 1), Activation(SIGMOID), 0)
 
 
 class TestGradientCheck:
@@ -243,6 +278,13 @@ class TestDiagnose:
         with pytest.raises(EmptyDataset):
             diagnose(net, [])
 
+    def test_ragged_dataset(self):
+        net = mlp_init((2, 3, 1), Activation(RELU), 0)
+        with pytest.raises(DimensionMismatch, match="input rows"):
+            diagnose(net, [(0.1, 0.2), (0.1,)])
+        with pytest.raises(DimensionMismatch):
+            diagnose(net, [(0.1, 0.2, 0.3), (0.1, 0.2, 0.3)])
+
     def test_csv_export(self):
         net = mlp_init((2, 3, 1), Activation(RELU), 5)
         net.biases[0][:] = -10.0
@@ -251,6 +293,113 @@ class TestDiagnose:
         assert csv.startswith("layer,mean_abs_grad")
         assert "dead_layer,dead_neuron" in csv
         assert "1,0" in csv
+
+
+# Per-example reference implementations: the MLP code before it moved to
+# batch matrices, one gemv forward and one backprop pass per example.
+
+def forward_oracle(net, x):
+    activations = [x]
+    pre = []
+    for w, b in zip(net.weights, net.biases):
+        z = w @ activations[-1] + b
+        pre.append(z)
+        activations.append(net.activation(z))
+    return pre, activations
+
+
+def backprop_oracle(net, x, target):
+    pre, acts = forward_oracle(net, x)
+    n_out = net.layer_sizes[-1]
+    delta = 2.0 * (acts[-1] - target) / n_out * net.activation.deriv(pre[-1])
+    grads_w = [None] * len(net.weights)
+    grads_b = [None] * len(net.biases)
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads_w[i] = np.outer(delta, acts[i])
+        grads_b[i] = delta
+        if i > 0:
+            delta = (net.weights[i].T @ delta) * net.activation.deriv(pre[i - 1])
+    loss = float(np.mean((acts[-1] - target) ** 2))
+    return grads_w, grads_b, loss
+
+
+def batch_gradients_oracle(net, batch):
+    sum_w = [np.zeros_like(w) for w in net.weights]
+    sum_b = [np.zeros_like(b) for b in net.biases]
+    total_loss = 0.0
+    for x, target in batch:
+        gw, gb, loss = backprop_oracle(net, np.asarray(x, dtype=np.float64),
+                                       np.asarray(target, dtype=np.float64))
+        for acc, g in zip(sum_w, gw):
+            acc += g
+        for acc, g in zip(sum_b, gb):
+            acc += g
+        total_loss += loss
+    m = len(batch)
+    return [g / m for g in sum_w], [g / m for g in sum_b], total_loss / m
+
+
+def diagnose_oracle(net, dataset):
+    inputs = [np.asarray(x, dtype=np.float64) for x in dataset]
+    n_layers = len(net.weights)
+    always_negative = [np.ones(net.layer_sizes[i + 1], dtype=bool) for i in range(n_layers)]
+    for x in inputs:
+        pre, _ = forward_oracle(net, x)
+        for i, z in enumerate(pre):
+            always_negative[i] &= z < 0.0
+    if net.activation.kind == RELU:
+        dead = tuple(tuple(bool(f) for f in flags) for flags in always_negative)
+    else:
+        dead = tuple(tuple(False for _ in flags) for flags in always_negative)
+    zero_target = np.zeros(net.layer_sizes[-1])
+    grads_w, _, _ = batch_gradients_oracle(net, [(x, zero_target) for x in inputs])
+    means = tuple(float(np.mean(np.abs(g))) for g in grads_w)
+    return GradientReport(means, dead)
+
+
+def sweep_cases(count=300):
+    """Seeded nets of 3-6 layers, 1-8 units each, random biases, 1-39 rows,
+    every activation; yields (net, inputs, targets)."""
+    kinds = (SIGMOID, RELU, LEAKY_RELU)
+    for seed in range(count):
+        rng = np.random.default_rng(1000 + seed)
+        sizes = tuple(int(v) for v in rng.integers(1, 9, size=int(rng.integers(3, 7))))
+        net = mlp_init(sizes, Activation(kinds[seed % 3]), seed)
+        for b in net.biases:
+            b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
+        rows = int(rng.integers(1, 40))
+        yield (net, rng.uniform(-1.0, 1.0, size=(rows, sizes[0])),
+               rng.uniform(0.0, 1.0, size=(rows, sizes[-1])))
+
+
+class TestBatchMatchesPerExampleOracle:
+    # gemm sums in another order than per-example gemv: allow last-digit drift
+    RTOL = 1e-10
+
+    def test_gradients_and_loss(self):
+        for net, x, t in sweep_cases():
+            grads_w, grads_b, loss, _ = neural._gradients(net, x, t)
+            want_w, want_b, want_loss = batch_gradients_oracle(net, list(zip(x, t)))
+            for got, want in zip(grads_w + grads_b, want_w + want_b):
+                np.testing.assert_allclose(got, want, rtol=self.RTOL, atol=0.0)
+            assert loss == pytest.approx(want_loss, rel=self.RTOL, abs=0.0)
+
+    def test_train_step(self):
+        for net, x, t in sweep_cases():
+            twin = copy.deepcopy(net)
+            want_w, want_b, want_loss = batch_gradients_oracle(twin, list(zip(x, t)))
+            _, loss = mlp_train_step(net, list(zip(x, t)), 0.3)
+            assert loss == pytest.approx(want_loss, rel=self.RTOL, abs=0.0)
+            for got, old, g in zip(net.weights + net.biases, twin.weights + twin.biases,
+                                   want_w + want_b):
+                np.testing.assert_allclose(got, old - 0.3 * g, rtol=self.RTOL, atol=0.0)
+
+    def test_diagnose(self):
+        for net, x, _ in sweep_cases():
+            got, want = diagnose(net, x), diagnose_oracle(net, x)
+            assert got.dead == want.dead
+            np.testing.assert_allclose(got.layer_mean_abs_grad, want.layer_mean_abs_grad,
+                                       rtol=self.RTOL, atol=0.0)
 
 
 class TestHopfieldTrain:
@@ -270,6 +419,21 @@ class TestHopfieldTrain:
         net = hopfield_train([(1, 1)], 2)
         assert net.weights[0, 1] == pytest.approx(0.5)
         assert net.weights[0, 0] == 0.0
+
+    def test_matches_outer_product_sum_bit_for_bit(self):
+        # every entry is an integer sum before the division, so order cannot matter
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 65))
+            patterns = rng.integers(0, 2, size=(int(rng.integers(1, 12)), n)) * 2 - 1
+            want = np.zeros((n, n))
+            for p in patterns.astype(np.float64):
+                want += np.outer(p, p)
+            want /= n
+            np.fill_diagonal(want, 0.0)
+            got = hopfield_train(patterns.tolist(), n).weights
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_rejects_zero_entry(self):
         with pytest.raises(NonBipolarPattern):
@@ -410,9 +574,7 @@ class TestHopfieldEnergy:
                 assert base <= hopfield_energy(net, flipped)
 
     def test_zero_weights(self):
-        net = hopfield_train([(1, 1, 1, 1)], 4)
-        zeroed = hopfield_from_json(hopfield_to_json(net))
-        zeroed.weights[:] = 0.0
+        zeroed = HopfieldNet(4, np.zeros((4, 4)), ((1, 1, 1, 1),))
         for s in itertools.product((-1, 1), repeat=4):
             assert hopfield_energy(zeroed, s) == 0.0
 
@@ -420,13 +582,3 @@ class TestHopfieldEnergy:
         with pytest.raises(NonBipolarPattern):
             hopfield_energy(two_vertex_net(), (1, 0, 1))
 
-
-class TestHopfieldSerialization:
-    def test_round_trip(self):
-        net = two_vertex_net()
-        clone = hopfield_from_json(hopfield_to_json(net))
-        assert clone.n == 3
-        assert np.array_equal(clone.weights, net.weights)
-        assert clone.stored_patterns == net.stored_patterns
-        doc = json.loads(hopfield_to_json(net))
-        assert doc["format"] == "aerobot-hopfield" and doc["version"] == 1
