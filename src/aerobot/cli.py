@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AerobotError
+from .errors import AerobotError, ParseError
 
 # Each command imports its layers when it runs, after reading its input, so
 # thermal, thrust, usage errors, unreadable files and bad simulation configs
@@ -34,6 +34,14 @@ def _read_image(path: str):
     data = Path(path).read_bytes()
     from . import raster
     return raster.parse_pnm(data)
+
+
+def _read_text(path: str) -> str:
+    """A rulebase, config or mass table; bytes that are not UTF-8 raise ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _emit(payload: dict) -> None:
@@ -66,7 +74,7 @@ def _cmd_green_density(args) -> int:
 
 def _cmd_dose(args) -> int:
     data = Path(args.image).read_bytes()
-    rules = Path(args.system).read_text() if args.system else None
+    rules = _read_text(args.system) if args.system else None
     from . import fuzzy, raster, vision
     result = vision.green_density(raster.parse_pnm(data))
     system = None if rules is None else fuzzy.system_from_json(rules)
@@ -118,7 +126,7 @@ def _cmd_thermal(args) -> int:
 
 def _cmd_thrust(args) -> int:
     from . import sizing
-    table = sizing.load_mass_table(args.mass_table)
+    table = sizing.load_mass_table(_read_text(args.mass_table))
     total_g = sizing.total_mass(table)
     spec = sizing.ThrustSpec(total_g / 1000.0, args.rotors, args.safety)
     kgf = sizing.thrust_per_rotor(spec)
@@ -132,7 +140,7 @@ def _cmd_thrust(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from . import sizing
-    cfg = sizing.SimConfig.from_json(Path(args.config).read_text())
+    cfg = sizing.SimConfig.from_json(_read_text(args.config))
     from . import flight
     trace = flight.simulate_hover(cfg)
     if args.trace:

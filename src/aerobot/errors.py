@@ -125,7 +125,7 @@ class SubUnitySafetyFactor(AerobotError):
 
 
 class ConfigInvalid(AerobotError):
-    """A configuration (simulation or inspection) fails validation."""
+    """A configuration (simulation or inspection) or a rulebase fails validation."""
 
 
 class ParseError(AerobotError):

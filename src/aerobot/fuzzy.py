@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import NoRuleFired, OutOfRange, ParseError
+from .errors import ConfigInvalid, NoRuleFired, OutOfRange, ParseError
 
 N_ROTORS = 8
 # bounds on the output sample grid; the upper one caps each curve's allocation
@@ -130,13 +130,9 @@ class FuzzySystem:
 
 @lru_cache(maxsize=64, typed=True)
 def _curve_stack(universe: tuple, abcds: tuple, samples: int) -> tuple:
-    """Read-only sample grid and (labels, 1, samples) curves, in one broadcast of the
-    pieces of `MembershipFunction.__call__`; a zero-width edge's 0/0 is never picked."""
+    """Read-only sample grid and (labels, 1, samples) curves, one per (a, b, c, d)."""
     ys = np.linspace(*universe, samples)
-    a, b, c, d = np.array(abcds, dtype=np.float64).T[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        curves = np.select([(ys > a) & (ys < b), (ys >= b) & (ys <= c), (ys > c) & (ys < d)],
-                           [(ys - a) / (b - a), 1.0, (d - ys) / (d - c)])[:, None, :]
+    curves = np.stack([MembershipFunction(abcd)(ys) for abcd in abcds])[:, None, :]
     ys.flags.writeable = curves.flags.writeable = False
     return ys, curves
 
@@ -193,34 +189,6 @@ FUZZY_FORMAT = "aerobot-fuzzy"
 _FORMAT_VERSION = 1
 
 
-def _mf_to_doc(mf: MembershipFunction) -> dict:
-    shape = "triangle" if len(mf.points) == 3 else "trapezoid"
-    return {"shape": shape, "points": list(mf.points)}
-
-
-def _var_to_doc(var: FuzzyVariable) -> dict:
-    return {
-        "name": var.name,
-        "universe": list(var.universe),
-        "sets": {label: _mf_to_doc(mf) for label, mf in var.sets.items()},
-    }
-
-
-def system_to_json(system: FuzzySystem) -> str:
-    doc = {
-        "format": FUZZY_FORMAT,
-        "version": _FORMAT_VERSION,
-        "samples": system.samples,
-        "inputs": [_var_to_doc(v) for v in system.inputs.values()],
-        "outputs": [_var_to_doc(v) for v in system.outputs.values()],
-        "rules": [
-            {"if": [list(a) for a in r.antecedents], "then": list(r.consequent)}
-            for r in system.rules
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
 def _var_from_doc(doc: dict) -> FuzzyVariable:
     sets = {}
     for label, mf_doc in doc["sets"].items():
@@ -261,10 +229,13 @@ def default_dosing_system() -> FuzzySystem:
 
 
 def pesticide_dose(density: float, system: FuzzySystem | None = None) -> float:
-    """Liters of pesticide per unit area for a given green-cover fraction."""
+    """Liters of pesticide per unit area for a green-cover fraction, by a rulebase whose
+    one input is green_density and which has a dose output (else ConfigInvalid)."""
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density {density} outside [0, 1]")
     sys_ = system if system is not None else default_dosing_system()
+    if sys_.inputs.keys() != {"green_density"} or "dose" not in sys_.outputs:
+        raise ConfigInvalid(f"not a dosing rulebase: {[*sys_.inputs]} -> {[*sys_.outputs]}")
     return infer(sys_, {"green_density": density})["dose"]
 
 
@@ -394,9 +365,3 @@ def stabilizer_deltas(arm_azimuth_deg: float, arm_extension: float,
     if roll != 0.0 or pitch != 0.0:
         deltas = deltas + tilt_compensation_deltas(roll, pitch)
     return deltas
-
-
-def deltas_csv(deltas) -> str:
-    rows = ["rotor_index,delta"]
-    rows += [f"{i},{float(d)!r}" for i, d in enumerate(deltas)]
-    return "\n".join(rows) + "\n"

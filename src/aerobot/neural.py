@@ -78,7 +78,6 @@ class Mlp:
 
     layer_sizes: tuple
     activation: Activation
-    seed: int
     weights: list = field(repr=False, default_factory=list)
     biases: list = field(repr=False, default_factory=list)
 
@@ -94,7 +93,7 @@ def mlp_init(layer_sizes, activation: Activation, seed: int) -> Mlp:
     rng = np.random.default_rng(seed)
     weights = [rng.uniform(-0.5, 0.5, size=(sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
     biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-    return Mlp(sizes, activation, seed, weights, biases)
+    return Mlp(sizes, activation, weights, biases)
 
 
 def _forward(net: Mlp, x: np.ndarray):
@@ -213,13 +212,6 @@ class GradientReport:
                 if flag:
                     found.append((li, ni))
         return found
-
-    def to_csv(self) -> str:
-        rows = ["layer,mean_abs_grad"]
-        rows += [f"{i},{g!r}" for i, g in enumerate(self.layer_mean_abs_grad, start=1)]
-        rows.append("dead_layer,dead_neuron")
-        rows += [f"{li},{ni}" for li, ni in self.dead_neurons()]
-        return "\n".join(rows) + "\n"
 
 
 def diagnose(net: Mlp, dataset) -> GradientReport:

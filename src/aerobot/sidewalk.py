@@ -11,7 +11,6 @@ are flagged for paint; overlapping segments vote, and any vote flags.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,17 +200,6 @@ class SidewalkParams:
     noise_sigma: float = 0.0
     erased_blocks: tuple = field(default_factory=tuple)
     first_block_bright: bool = True
-
-    @classmethod
-    def from_json(cls, text: str) -> "SidewalkParams":
-        doc = json.loads(text)
-        doc["erased_blocks"] = tuple(doc.get("erased_blocks", ()))
-        return cls(**doc)
-
-    def to_json(self) -> str:
-        doc = dict(self.__dict__)
-        doc["erased_blocks"] = list(self.erased_blocks)
-        return json.dumps(doc, indent=2)
 
 
 def generate_sidewalk(params: SidewalkParams, seed: int = 0) -> Image:

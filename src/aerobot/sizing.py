@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
-from pathlib import Path
 
 from .errors import BadRotorCount, ConfigInvalid, OutOfRange, ParseError, SubUnitySafetyFactor
 
@@ -46,14 +45,8 @@ def total_mass(table: MassTable) -> float:
     return sum(e.grams * e.count for e in table.entries)
 
 
-def load_mass_table(source) -> MassTable:
-    """Parse a name,grams,count CSV from a path, text, or file object."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
+def load_mass_table(text: str) -> MassTable:
+    """Parse the text of a name,grams,count CSV; a header alone is an empty table."""
     reader = csv.reader(io.StringIO(text))
     rows = [(i, row) for i, row in enumerate(reader, start=1) if row and any(c.strip() for c in row)]
     if not rows:
@@ -169,8 +162,3 @@ class SimConfig:
             return cls(**doc)
         except (OverflowError, TypeError) as exc:  # OverflowError: an integer beyond float range
             raise ParseError(f"bad simulation config: {exc}") from exc
-
-    def to_json(self) -> str:
-        doc = dict(self.__dict__)
-        doc["arm_trajectory"] = [list(k) for k in self.arm_trajectory]
-        return json.dumps(doc, indent=2)

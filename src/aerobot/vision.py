@@ -36,6 +36,8 @@ from .thermal import (  # noqa: F401  re-exported
 DEFAULT_EXG_THRESHOLD = 20
 # largest Mexican-hat kernel radius, px; bounds the (2r+1)^2 kernel and the FFT's 2r padding
 MAX_KERNEL_RADIUS = 256
+# most line-accumulator angles, a 0.05 degree step; bounds the (angles, edges) vote tables
+MAX_THETAS = 3600
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,8 @@ def mexican_hat_kernel(sigma: float, radius: int | None = None) -> ResponseMap:
 
     The zero sum makes constant regions vanish under convolution. Radius
     defaults to ceil(4*sigma), which captures the full ripple; a radius
-    above MAX_KERNEL_RADIUS raises OutOfRange before anything is built.
+    above MAX_KERNEL_RADIUS, or a sigma so small that r^2/2s^2 passes float
+    range at the kernel's corner, raises OutOfRange before anything is built.
     """
     if not 0 < sigma < math.inf:
         raise NonPositiveSigma(f"sigma {sigma}")
@@ -169,9 +172,13 @@ def mexican_hat_kernel(sigma: float, radius: int | None = None) -> ResponseMap:
         radius = math.ceil(4 * sigma)
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    # an infinite u makes (1 - u) * exp(-u) NaN; r^2 is largest, 2 radius^2, at a corner
+    two_s2 = 2.0 * float(sigma) * float(sigma)
+    if two_s2 == 0.0 or 2.0 * radius * radius / two_s2 == math.inf:
+        raise OutOfRange(f"sigma {sigma} too small: r^2/2sigma^2 overflows at radius {radius}")
     offs = np.arange(-radius, radius + 1, dtype=np.float64)
     r2 = offs[:, None] ** 2 + offs[None, :] ** 2
-    u = r2 / (2.0 * sigma * sigma)
+    u = r2 / two_s2
     kernel = (1.0 - u) * np.exp(-u)
     kernel -= kernel.mean()
     side = 2 * radius + 1
@@ -242,16 +249,18 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
 
     rho is accumulated at 1-pixel resolution over x cos(theta) + y sin(theta),
     theta over [0, 180) at theta_step degrees. Cells with >= threshold votes
-    are returned sorted by votes descending.
+    are returned sorted by votes descending. A theta_step must divide 180
+    into at most MAX_THETAS angles, or OutOfRange is raised.
     """
     if edges.channels != 1:
         raise NotGrayscale("edge image must be gray")
-    if theta_step <= 0 or (180.0 / theta_step) != round(180.0 / theta_step):
-        raise ValueError(f"theta_step {theta_step} must divide 180")
+    n_theta = 180.0 / theta_step if 0 < theta_step < math.inf else math.inf
+    if n_theta > MAX_THETAS or n_theta != round(n_theta):
+        raise OutOfRange(f"theta_step {theta_step} must divide 180 in at most {MAX_THETAS} steps")
     ys, xs = np.divmod(np.flatnonzero(np.frombuffer(edges.samples, np.uint8) == 255), edges.width)
     if len(xs) == 0:
         return []
-    n_theta = int(round(180.0 / theta_step))
+    n_theta = int(round(n_theta))
     thetas, cos_t, sin_t = _line_angles(n_theta, theta_step)
     diag = int(math.ceil(math.hypot(edges.width - 1, edges.height - 1)))
     n_rho = 2 * diag + 1

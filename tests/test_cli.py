@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import warnings
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -8,10 +10,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from aerobot import cli
+from aerobot import cli, errors
 from aerobot.flight import SimConfig
 from aerobot.raster import Image, parse_pnm, write_pnm
 from aerobot.sidewalk import SidewalkParams, generate_sidewalk
+
+
+DOSING_JSON = resources.files("aerobot.assets").joinpath("dosing.json").read_text()
 
 
 def run(capsys, *argv):
@@ -124,9 +129,8 @@ class TestGreenDensityAndDose:
         assert doc["dose_liters"] == pytest.approx(5.0, abs=0.05)
 
     def test_dose_with_system_file(self, capsys, tmp_path, half_green_ppm):
-        from aerobot.fuzzy import default_dosing_system, system_to_json
         path = tmp_path / "rules.json"
-        path.write_text(system_to_json(default_dosing_system()))
+        path.write_text(DOSING_JSON)
         code, out, _ = run(capsys, "dose", str(half_green_ppm), "--system", str(path))
         assert code == 0
         validate(out, "dose")
@@ -134,10 +138,9 @@ class TestGreenDensityAndDose:
 
 def edited_dosing_doc(path, value):
     """The shipped dosing rulebase with the node at path replaced by value."""
-    from aerobot.fuzzy import default_dosing_system, system_to_json
     if not path:
         return value
-    doc = json.loads(system_to_json(default_dosing_system()))
+    doc = json.loads(DOSING_JSON)
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -340,7 +343,7 @@ class TestSimulate:
         cfg = SimConfig(duration_s=0.5, controller=True,
                         arm_trajectory=((0.0, 0.0, 1.0), (0.5, 90.0, 1.0)))
         cfg_path = tmp_path / "sim.json"
-        cfg_path.write_text(cfg.to_json())
+        cfg_path.write_text(json.dumps(asdict(cfg)))
         trace_path = tmp_path / "trace.csv"
         code, out, _ = run(capsys, "simulate", "--config", str(cfg_path),
                            "--trace", str(trace_path))
@@ -441,6 +444,66 @@ class TestNnDemo:
         assert err.startswith("error: BadTopology: 10001 weights")
 
 
+def with_wind_input(text: str) -> str:
+    """The dosing rulebase text with a second input, wind."""
+    doc = json.loads(text)
+    doc["inputs"].append({"name": "wind", "universe": [0.0, 1.0], "sets": {
+        "calm": {"shape": "triangle", "points": [0.0, 0.0, 1.0]},
+        "gusty": {"shape": "triangle", "points": [0.0, 1.0, 1.0]}}})
+    return json.dumps(doc)
+
+
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
+CURB = ["inspect-sidewalk", "{curb}", "--overlay", "{out}.pgm", "--report", "{out}.json",
+        "--sigma"]
+
+# argv ({curb}, {field}, {edges}, {doc} and {out} name files in a fresh directory),
+# the bytes of {doc}, and the error type the call must end in
+HOSTILE = {
+    "dose-output-liters": (["dose", "{field}", "--system", "{doc}"],
+                           DOSING_JSON.replace('"dose"', '"liters"').encode(), "ConfigInvalid"),
+    "dose-input-cover": (["dose", "{field}", "--system", "{doc}"],
+                         DOSING_JSON.replace('"green_density"', '"cover"').encode(),
+                         "ConfigInvalid"),
+    "dose-input-wind": (["dose", "{field}", "--system", "{doc}"],
+                        with_wind_input(DOSING_JSON).encode(), "ConfigInvalid"),
+    "sigma-1e-300": (CURB + ["1e-300"], None, "OutOfRange"),
+    "sigma-1e-155": (CURB + ["1e-155"], None, "OutOfRange"),
+    "sigma-5e-324": (CURB + ["5e-324"], None, "OutOfRange"),
+    "theta-nan": (["detect-lines", "{edges}", "--theta-step", "nan"], None, "OutOfRange"),
+    "theta-inf": (["detect-lines", "{edges}", "--theta-step", "inf"], None, "OutOfRange"),
+    "theta-1e-9": (["detect-lines", "{edges}", "--theta-step", "1e-9"], None, "OutOfRange"),
+    "theta-0.0001": (["detect-lines", "{edges}", "--theta-step", "0.0001"], None, "OutOfRange"),
+    "config-not-utf8": (["simulate", "--config", "{doc}", "--trace", "{out}.csv"], NOT_UTF8,
+                        "ParseError"),
+    "system-not-utf8": (["dose", "{field}", "--system", "{doc}"], NOT_UTF8, "ParseError"),
+    "mass-table-not-utf8": (["thrust", "--mass-table", "{doc}", "--rotors", "4"], NOT_UTF8,
+                            "ParseError"),
+}
+
+
+class TestHostileInputs:
+    """Each call exits 1 with one typed error line: no traceback, warning or output file."""
+
+    @pytest.mark.parametrize("argv, doc, error", HOSTILE.values(), ids=HOSTILE.keys())
+    def test_exits_1_with_a_typed_error(self, capsys, tmp_path, sidewalk_pgm, half_green_ppm,
+                                        argv, doc, error):
+        edges = np.zeros((16, 16), np.uint8)
+        edges[:, 5] = 255
+        (tmp_path / "edges.pgm").write_bytes(write_pnm(Image.from_array(edges)))
+        (tmp_path / "doc").write_bytes(doc or b"")
+        names = {"curb": sidewalk_pgm, "field": half_green_ppm, "edges": tmp_path / "edges.pgm",
+                 "doc": tmp_path / "doc", "out": tmp_path / "out"}
+        inputs = set(tmp_path.iterdir())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *(a.format(**names) for a in argv))
+        assert (code, out, caught) == (1, "", [])
+        name = re.fullmatch(r"error: (\w+): [^\n]+\n", err).group(1)
+        assert name == error and issubclass(getattr(errors, name), errors.AerobotError)
+        assert set(tmp_path.iterdir()) == inputs
+
+
 class TestContract:
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, _ = run(capsys, "fly-me-to-the-moon")
@@ -514,10 +577,9 @@ def golden_calls(d: Path) -> dict:
     (d / "ring.pgm").write_bytes(write_pnm(Image.from_array(ring)))
     (d / "table.csv").write_text(
         resources.files("aerobot.assets").joinpath("table1.csv").read_text())
-    from aerobot.fuzzy import default_dosing_system, system_to_json
-    (d / "rules.json").write_text(system_to_json(default_dosing_system()))
-    (d / "sim.json").write_text(SimConfig(
-        duration_s=0.05, arm_trajectory=((0.0, 0.0, 1.0), (0.05, 40.0, 0.5))).to_json())
+    (d / "rules.json").write_text(DOSING_JSON)
+    (d / "sim.json").write_text(json.dumps(asdict(SimConfig(
+        duration_s=0.05, arm_trajectory=((0.0, 0.0, 1.0), (0.05, 40.0, 0.5))))))
     p = lambda name: str(d / name)  # noqa: E731
     return {
         "otsu": ["otsu", p("gradient.pgm")],

@@ -1,8 +1,8 @@
 import hashlib
-import io
+import json
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -67,9 +67,10 @@ class TestMassTable:
 
 class TestLoadMassTable:
     def test_header_only(self):
-        table = load_mass_table(io.StringIO("name,grams,count\n"))
-        assert table.entries == ()
-        assert total_mass(table) == 0
+        for text in ("name,grams,count\n", "name,grams,count"):  # text, never a path
+            table = load_mass_table(text)
+            assert table.entries == ()
+            assert total_mass(table) == 0
 
     def test_round_values(self):
         table = load_mass_table("name,grams,count\nmotor,1038,4\nframe,12000,1\n")
@@ -95,7 +96,7 @@ class TestLoadMassTable:
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
-            load_mass_table(io.StringIO(""))
+            load_mass_table("")
 
     @pytest.mark.parametrize("grams", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_grams_parse_error_with_row(self, grams):
@@ -223,7 +224,7 @@ class TestSimulate:
 
     def test_config_json_round_trip(self):
         cfg = short_config(controller=False, dt_s=0.01)
-        clone = SimConfig.from_json(cfg.to_json())
+        clone = SimConfig.from_json(json.dumps(asdict(cfg)))
         assert clone == cfg
 
     @pytest.mark.parametrize("text", [

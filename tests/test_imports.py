@@ -49,11 +49,14 @@ def loaded_by(*argv, cwd=None):
       "--rotors", "4", "--safety", "nan"], 1),
     (["thrust", "--mass-table", "nan.csv", "--rotors", "4"], 1),
     (["thrust", "--mass-table", "huge.csv", "--rotors", "4"], 1),
+    (["thrust", "--mass-table", "binary.doc", "--rotors", "4"], 1),
+    (["simulate", "--config", "binary.doc"], 1),
 ])
 def test_light_calls_never_load_numpy(tmp_path, argv, code):
     (tmp_path / "bad.json").write_text('{"dt_s": -1}')
     (tmp_path / "nan.csv").write_text("name,grams,count\nx,nan,1\n")
     (tmp_path / "huge.csv").write_text("name,grams,count\n" + "x,1e308,1\n" * 9)
+    (tmp_path / "binary.doc").write_bytes(b"\x7fELF" + bytes(range(0x80, 0x100)))
     got, modules = loaded_by(*argv, cwd=tmp_path)
     assert got == code
     assert "numpy" not in modules

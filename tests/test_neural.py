@@ -285,15 +285,6 @@ class TestDiagnose:
         with pytest.raises(DimensionMismatch):
             diagnose(net, [(0.1, 0.2, 0.3), (0.1, 0.2, 0.3)])
 
-    def test_csv_export(self):
-        net = mlp_init((2, 3, 1), Activation(RELU), 5)
-        net.biases[0][:] = -10.0
-        net.weights[0][:] = 0.01
-        csv = diagnose(net, [(0.5, 0.5)]).to_csv()
-        assert csv.startswith("layer,mean_abs_grad")
-        assert "dead_layer,dead_neuron" in csv
-        assert "1,0" in csv
-
 
 # Per-example reference implementations: the MLP code before it moved to
 # batch matrices, one gemv forward and one backprop pass per example.

@@ -155,10 +155,6 @@ class TestGenerator:
         assert generate_sidewalk(params, seed=5) == generate_sidewalk(params, seed=5)
         assert generate_sidewalk(params, seed=5) != generate_sidewalk(params, seed=6)
 
-    def test_params_json_round_trip(self):
-        params = SidewalkParams(erased_blocks=(1, 4), noise_sigma=3.0)
-        assert SidewalkParams.from_json(params.to_json()) == params
-
 
 class TestExtractStrip:
     def test_band_located_and_partitioned(self):

@@ -23,6 +23,7 @@ from aerobot.errors import (
 from aerobot.raster import Histogram, Image, histogram
 from aerobot.vision import (
     MAX_KERNEL_RADIUS,
+    MAX_THETAS,
     STEFAN_BOLTZMANN,
     GaborParams,
     default_gabor_bank,
@@ -235,6 +236,18 @@ class TestMexicanHat:
         with pytest.raises(OutOfRange):
             mexican_hat_kernel(1.0, radius=MAX_KERNEL_RADIUS + 1)
 
+    # below about 7.5e-155, r^2 / 2 sigma^2 at the corner passes float range
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-155, 7.4e-155, 5e-324])
+    def test_tiny_sigma_refused_before_a_nan_kernel(self, sigma):
+        with pytest.raises(OutOfRange, match="too small"):  # a numpy warning fails the test
+            mexican_hat_kernel(sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-100, 7.5e-155])
+    def test_tiny_sigma_with_a_finite_kernel_still_works(self, sigma):
+        kernel = mexican_hat_kernel(sigma).values
+        assert kernel.shape == (3, 3) and np.isfinite(kernel).all()
+        assert kernel[1, 1] == max(kernel.ravel())
+
     @pytest.mark.parametrize("sigma", [1e3, 1e100, 1e308])  # 4 * 1e308 overflows to inf
     def test_huge_sigma_refused_before_allocating(self, sigma):
         tracemalloc.start()
@@ -436,8 +449,16 @@ class TestHoughLines:
         assert top.rho == 0.0
 
     def test_theta_step_must_divide_180(self):
-        with pytest.raises(ValueError):
-            hough_lines(gray(np.zeros((3, 3))), 7.0)
+        edge = np.zeros((3, 3))
+        edge[1, 1] = 255
+        # 0.04 divides 180 in 4500 steps, past MAX_THETAS; 1e-9 would need 1.3 TiB of tables
+        for step in (7.0, 360.0, 0.0, -1.0, math.nan, math.inf, -math.inf, 1e-9, 1e-4, 0.04,
+                     5e-324):
+            for arr in (np.zeros((3, 3)), edge):
+                with pytest.raises(OutOfRange, match="theta_step"):
+                    hough_lines(gray(arr), step)
+        assert round(180 / 0.05) == MAX_THETAS
+        assert len(hough_lines(gray(edge), 0.05)) == MAX_THETAS
 
     @pytest.mark.parametrize("threshold", [1, 5, 40])
     def test_matches_add_at_oracle(self, threshold):
