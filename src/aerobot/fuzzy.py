@@ -147,7 +147,8 @@ def _infer_batch(system: FuzzySystem, values: dict) -> dict:
     """Mamdani inference over inputs broadcast together, or one row of floats, to crisp arrays.
 
     Each consequent label is clipped once, at the largest firing degree of its
-    rules, since max_r min(h_r, c) = min(max_r h_r, c).
+    rules, since max_r min(h_r, c) = min(max_r h_r, c). The centroid sums each
+    row on its own, so a row of a batch gives the bits of the same query alone.
     """
     inputs = {}
     for name, var in system.inputs.items():
@@ -173,7 +174,7 @@ def _infer_batch(system: FuzzySystem, values: dict) -> dict:
         mass = agg.sum(axis=1)
         if not mass.all():  # mass is never negative
             raise NoRuleFired(f"no rule fired for output {name!r}")
-        crisp[name] = ((agg @ ys) / mass).reshape(shape)
+        crisp[name] = (np.multiply(agg, ys, out=agg).sum(axis=1) / mass).reshape(shape)
     return crisp
 
 

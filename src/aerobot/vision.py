@@ -155,7 +155,7 @@ def green_density(img: Image, exg_threshold: int = DEFAULT_EXG_THRESHOLD) -> Gre
 
 # Mexican-Hat wavelet --------------------------------------------------------
 
-def mexican_hat_kernel(sigma: float, radius: int | None = None) -> ResponseMap:
+def mexican_hat_kernel(sigma: float, radius: int | None = None) -> np.ndarray:
     """Square (1 - r^2/2s^2)exp(-r^2/2s^2) kernel, mean-shifted to sum to zero.
 
     The zero sum makes constant regions vanish under convolution. Radius
@@ -180,9 +180,7 @@ def mexican_hat_kernel(sigma: float, radius: int | None = None) -> ResponseMap:
     r2 = offs[:, None] ** 2 + offs[None, :] ** 2
     u = r2 / two_s2
     kernel = (1.0 - u) * np.exp(-u)
-    kernel -= kernel.mean()
-    side = 2 * radius + 1
-    return ResponseMap(side, side, kernel)
+    return kernel - kernel.mean()
 
 
 def _kernel_spectrum(kernels: np.ndarray, image_shape: tuple) -> np.ndarray:
@@ -228,7 +226,7 @@ def wavelet_response(img: Image, sigma: float, radius: int | None = None) -> Res
     """Signed Mexican-Hat coefficient array of a gray image."""
     if img.channels != 1:
         raise NotGrayscale("wavelet response requires a gray image")
-    kernel = mexican_hat_kernel(sigma, radius).values
+    kernel = mexican_hat_kernel(sigma, radius)
     arr = img.to_array().astype(np.float64)
     values = _reflect_convolve(arr, kernel.shape, _kernel_spectrum(kernel, arr.shape))
     return ResponseMap(img.width, img.height, values)
@@ -389,39 +387,31 @@ def gabor_kernel(p: GaborParams) -> np.ndarray:
     y_rot = -xx * s + yy * c
     kernel = np.exp(-(x_rot ** 2 + (p.aspect * y_rot) ** 2) / (2.0 * p.sigma ** 2))
     kernel *= np.cos(2.0 * math.pi * x_rot / p.wavelength + p.phase)
-    kernel -= kernel.mean()
-    return kernel
+    return kernel - kernel.mean()
 
 
 @lru_cache(maxsize=4)
 def _gabor_spectra(params: tuple, image_shape: tuple) -> tuple:
-    """(bank positions, kernel shape, read-only spectrum) per distinct kernel size.
-
-    Keyed by the whole bank and the image shape. The spectra of one size
-    take 16 * n * (h + kh - 1) * ((w + kw - 1) // 2 + 1) bytes: 210 KB for
-    the default bank on a 32x32 crop, 10 MB on 512x512.
+    """Kernel shape and read-only spectrum stack of a bank, each kernel zero-padded
+    to the bank's largest (odd, square) side: the added taps are zero and a wider
+    reflect pad repeats the same nearest pixels, so every response is unchanged.
+    The stack takes 16 * n * (h + k - 1) * ((w + k - 1) // 2 + 1) bytes: 210 KB
+    for the default bank on a 32x32 crop, 10 MB on 512x512.
     """
     kernels = [gabor_kernel(p) for p in params]
-    groups = []
-    for shape in dict.fromkeys(k.shape for k in kernels):
-        members = tuple(i for i, k in enumerate(kernels) if k.shape == shape)
-        spectrum = _kernel_spectrum(np.stack([kernels[i] for i in members]), image_shape)
-        groups.append((members, shape) + _read_only(spectrum))
-    return tuple(groups)
+    side = max(len(k) for k in kernels)
+    stack = np.stack([np.pad(k, (side - len(k)) // 2) for k in kernels])
+    return stack.shape[1:], _read_only(_kernel_spectrum(stack, image_shape))[0]
 
 
 def gabor_bank(img: Image, params: list[GaborParams]) -> list[ResponseMap]:
-    """Response map per bank member, reflect-padded."""
+    """Response map per bank member, reflect-padded, from one batched convolution."""
     if img.channels != 1:
         raise NotGrayscale("gabor bank requires a gray image")
     if not params:
         raise EmptyBank("bank has no parameter sets")
     arr = img.to_array().astype(np.float64)
-    values = [None] * len(params)
-    # one image spectrum and one batched inverse transform per kernel size
-    for members, shape, spectrum in _gabor_spectra(tuple(params), arr.shape):
-        for i, v in zip(members, _reflect_convolve(arr, shape, spectrum)):
-            values[i] = v
+    values = _reflect_convolve(arr, *_gabor_spectra(tuple(params), arr.shape))
     return [ResponseMap(img.width, img.height, v) for v in values]
 
 

@@ -294,7 +294,7 @@ class TestSimulate:
         (SimConfig(duration_s=1.0, arm_trajectory=(  # keyframes drawn from default_rng(2026)
             (0.0, 23.311, 0.653), (0.371, 493.76, 0.298),
             (0.467, 617.555, 0.967), (0.64, -168.459, 0.92))),
-         "36fb08e2e31ba8879ea9d5abd56d3b4d5331252748eb354faf04819bb6aa26de"),
+         "372364e75c11e70f05dde6f39ab9158567ac7f2146baf81b2814a29625a6e281"),
         (SimConfig(duration_s=1.0, controller=False),
          "63614c8fc6799df115d0f921d4a43b9c2b2a38bcd5757a9187ac4169016a6a21"),
     ], ids=["seeded_controller_on", "default_controller_off"])

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import pkgutil
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import aerobot
 from aerobot import vision
 from aerobot.errors import (
     BadRadiusRange,
@@ -208,7 +212,7 @@ class TestMexicanHat:
         psi = (1 - u) * np.exp(-u)
         assert psi[radius, radius] == 1.0
         k = mexican_hat_kernel(sigma, radius=radius)
-        assert k.values[radius, radius] == pytest.approx(1.0 - psi.mean(), abs=1e-15)
+        assert k[radius, radius] == pytest.approx(1.0 - psi.mean(), abs=1e-15)
 
     def test_zero_crossing_at_sigma_sqrt2(self):
         # psi(sigma*sqrt2) = (1 - 1)*e^-1 = 0 before the shift
@@ -220,7 +224,7 @@ class TestMexicanHat:
     @pytest.mark.parametrize("sigma", [1.0, 2.0, 3.0])
     def test_zero_sum(self, sigma):
         k = mexican_hat_kernel(sigma)
-        assert abs(k.values.sum()) < 1e-12
+        assert abs(k.sum()) < 1e-12
 
     def test_rejects_non_positive_sigma(self):
         for sigma in (0.0, -1.0, math.inf, math.nan):
@@ -229,8 +233,9 @@ class TestMexicanHat:
 
     def test_radius_bound_edge(self):
         sigma = MAX_KERNEL_RADIUS / 4
-        assert mexican_hat_kernel(sigma).width == 2 * MAX_KERNEL_RADIUS + 1
-        assert mexican_hat_kernel(1.0, radius=MAX_KERNEL_RADIUS).width == 2 * MAX_KERNEL_RADIUS + 1
+        side = 2 * MAX_KERNEL_RADIUS + 1
+        assert mexican_hat_kernel(sigma).shape == (side, side)
+        assert mexican_hat_kernel(1.0, radius=MAX_KERNEL_RADIUS).shape == (side, side)
         with pytest.raises(OutOfRange):
             mexican_hat_kernel(math.nextafter(sigma, math.inf))
         with pytest.raises(OutOfRange):
@@ -244,7 +249,7 @@ class TestMexicanHat:
 
     @pytest.mark.parametrize("sigma", [1e-100, 7.5e-155])
     def test_tiny_sigma_with_a_finite_kernel_still_works(self, sigma):
-        kernel = mexican_hat_kernel(sigma).values
+        kernel = mexican_hat_kernel(sigma)
         assert kernel.shape == (3, 3) and np.isfinite(kernel).all()
         assert kernel[1, 1] == max(kernel.ravel())
 
@@ -294,7 +299,20 @@ def einsum_convolve(arr, kernel):
     return np.einsum("ijkl,kl->ij", windows, kernel[::-1, ::-1])
 
 
+# crop shapes of the bit-for-bit sweeps against the earlier filter paths
+SWEEP_SHAPES = [(1, 1), (32, 32), (17, 17), (9, 14), (33, 20), (5, 48)]
+
+
 class TestWaveletResponse:
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_matches_the_earlier_path_bit_for_bit(self, shape):
+        arr = np.random.default_rng(shape[0] * 100 + shape[1]).integers(0, 256, size=shape)
+        for sigma in (1.0, 2.5):
+            kernel = mexican_hat_kernel(sigma)
+            expected = pad_reflect_convolve(arr.astype(np.float64), kernel.shape,
+                                            vision._kernel_spectrum(kernel, shape))
+            assert np.array_equal(wavelet_response(gray(arr), sigma).values, expected)
+
     @pytest.mark.parametrize("shape, sigma", [
         ((1, 1), 1.0), ((1, 7), 2.0), ((5, 1), 1.5), ((8, 8), 3.0),
         ((23, 31), 1.0), ((64, 40), 2.5),
@@ -302,7 +320,7 @@ class TestWaveletResponse:
     def test_fft_matches_einsum(self, shape, sigma):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         arr = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        kernel = mexican_hat_kernel(sigma).values
+        kernel = mexican_hat_kernel(sigma)
         got = wavelet_response(gray(arr), sigma).values
         assert got.shape == shape
         assert np.abs(got - einsum_convolve(arr.astype(np.float64), kernel)).max() < 1e-9
@@ -314,7 +332,7 @@ class TestWaveletResponse:
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(13)
         arr = rng.integers(0, 256, size=(7, 9)).astype(np.float64)
-        kernel = mexican_hat_kernel(1.0, radius=2).values  # 5x5
+        kernel = mexican_hat_kernel(1.0, radius=2)  # 5x5
         expected = direct_convolve(arr, kernel)
         got = wavelet_response(gray(arr), 1.0, radius=2)
         assert np.allclose(got.values, expected, atol=1e-9)
@@ -729,10 +747,18 @@ def pad_reflect_convolve(arr, kernel_shape, spectrum):
     return np.fft.irfft(rows, n=arr.shape[1] + kw - 1, axis=-1)[..., kw - 1:]
 
 
-class TestShapeKeyedTables:
-    CACHES = (vision._symmetric_index, vision._line_angles, vision._circle_offsets,
-              vision._gabor_spectra)
+def aerobot_caches() -> dict:
+    """Every memoized function defined in an aerobot module, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(aerobot.__path__, "aerobot."):
+        module = importlib.import_module(info.name)
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                found[f"{module.__name__}.{name}"] = fn
+    return found
 
+
+class TestShapeKeyedTables:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_symmetric_index_matches_np_pad(self, n):
         axis = np.arange(n)
@@ -749,8 +775,14 @@ class TestShapeKeyedTables:
                 arr[0] = arr[0]
 
     def test_every_cache_is_bounded(self):
-        for fn in self.CACHES:
-            assert 0 < fn.cache_info().maxsize <= 64
+        caches = aerobot_caches()
+        assert {"aerobot.fuzzy._curve_stack", "aerobot.vision._gabor_spectra",
+                "aerobot.fuzzy.default_dosing_system"} <= caches.keys()
+        for name, fn in caches.items():
+            maxsize = fn.cache_info().maxsize
+            # a function of no parameters holds one entry whatever its maxsize
+            assert (maxsize is not None and 0 < maxsize <= 64
+                    or not inspect.signature(fn).parameters), name
 
     def test_alternating_geometries_match_oracles(self):
         rng = np.random.default_rng(21)
@@ -759,8 +791,9 @@ class TestShapeKeyedTables:
         masks = (line_mask(6, 20, 30), line_mask(7, 33, 17))
         crops = [rng.integers(0, 256, size=shape).astype(np.float64) for shape in ((9, 5), (3, 16))]
         kernels = [rng.normal(size=shape) for shape in ((7, 21), (5, 3))]
-        for fn in self.CACHES:
-            fn.cache_clear()
+        for name, fn in aerobot_caches().items():
+            if name.startswith("aerobot.vision."):
+                fn.cache_clear()
         for i in (0, 1, 0):
             edges, r_min, r_max, step = (a, b)[i]
             assert hough_circles(edges, r_min, r_max, 2, step) == \
@@ -782,6 +815,19 @@ def make_grating(size, wavelength, theta):
     yy, xx = np.mgrid[0:size, 0:size]
     phase = 2 * math.pi * (xx * math.cos(theta) + yy * math.sin(theta)) / wavelength
     return np.clip(128 + 100 * np.cos(phase), 0, 255).astype(np.uint8)
+
+
+def gabor_bank_oracle(img, params):
+    """The earlier `gabor_bank`: one spectrum stack and one convolution per kernel size."""
+    arr = img.to_array().astype(np.float64)
+    kernels = [gabor_kernel(p) for p in params]
+    values = [None] * len(kernels)
+    for shape in dict.fromkeys(k.shape for k in kernels):
+        members = [i for i, k in enumerate(kernels) if k.shape == shape]
+        spectrum = vision._kernel_spectrum(np.stack([kernels[i] for i in members]), arr.shape)
+        for i, v in zip(members, vision._reflect_convolve(arr, shape, spectrum)):
+            values[i] = v
+    return values
 
 
 class TestGabor:
@@ -863,11 +909,30 @@ class TestGabor:
         info = vision._gabor_spectra.cache_info()
         assert info.misses == 10
         assert info.currsize <= info.maxsize <= 8
-        for members, shape, spectrum in vision._gabor_spectra(bank, (13, 14)):
-            assert spectrum.shape == (len(members), 13 + shape[0] - 1, (14 + shape[1] - 1) // 2 + 1)
-            assert not spectrum.flags.writeable
-            with pytest.raises(ValueError):
-                spectrum[0, 0, 0] = 0.0
+        shape, spectrum = vision._gabor_spectra(bank, (13, 14))
+        assert spectrum.shape == (len(bank), 13 + shape[0] - 1, (14 + shape[1] - 1) // 2 + 1)
+        assert not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_one_size_banks_match_the_per_size_oracle_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        img = gray(rng.integers(0, 256, size=shape, dtype=np.uint8))
+        for bank in (default_gabor_bank(), default_gabor_bank(6.0, 2.5)):
+            maps = gabor_bank(img, bank)
+            for m, expected in zip(maps, gabor_bank_oracle(img, bank), strict=True):
+                assert np.array_equal(m.values, expected)
+
+    def test_mixed_sizes_make_one_convolution(self, monkeypatch):
+        convolve, calls = vision._reflect_convolve, []
+        monkeypatch.setattr(vision, "_reflect_convolve", lambda *a: calls.append(a) or convolve(*a))
+        bank = [GaborParams(4.0, 0.0, 1.2), GaborParams(9.0, 0.4, 3.0, aspect=0.7)]
+        img = gray(np.random.default_rng(15).integers(0, 256, size=(11, 19), dtype=np.uint8))
+        maps = gabor_bank(img, bank)
+        assert len(calls) == 1 and calls[0][1] == gabor_kernel(bank[1]).shape
+        for m, expected in zip(maps, gabor_bank_oracle(img, bank), strict=True):
+            assert np.abs(m.values - expected).max() < 1e-9
 
     def test_empty_bank(self):
         with pytest.raises(EmptyBank):
