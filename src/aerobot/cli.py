@@ -1,10 +1,10 @@
 """Batch command line: every pipeline behind file-based, scriptable subcommands.
 
-Exit codes: 0 success, 1 domain error (bad image, no strip, ...), 2 usage.
-Machine-readable payloads go to stdout (JSON for most subcommands, CSV for
-the Hough detectors); human diagnostics go to stderr. Output files are only
-written after the computation succeeded, so failures never leave partial
-artifacts behind.
+Exit codes: 0 success, 1 an AerobotError (bad image, no strip, unreadable file, ...)
+as one `error: <Type>: ...` line on stderr, 2 usage; any other exception is a bug
+and shows its traceback. Payloads go to stdout (JSON, or CSV for the Hough detectors).
+Output files are written only after the computation succeeded, and a failed write
+removes those the call already wrote, so failures never leave partial artifacts.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AerobotError, OutOfRange, ParseError
+from .errors import AerobotError, FileAccess, OutOfRange, ParseError
 
 # Each command imports its layers when it runs, after reading its input, so
 # thermal, thrust, usage errors, unreadable files and bad simulation configs
@@ -118,7 +118,12 @@ def _cmd_inspect_sidewalk(args) -> int:
     if args.overlay:
         Path(args.overlay).write_bytes(raster.write_pnm(overlay))
     if args.report:
-        Path(args.report).write_bytes((json.dumps(doc, indent=2) + "\n").encode())
+        try:
+            Path(args.report).write_bytes((json.dumps(doc, indent=2) + "\n").encode())
+        except OSError:
+            if args.overlay:  # already written; a failure leaves no partial artifact
+                Path(args.overlay).unlink(missing_ok=True)
+            raise
     _emit(doc)
     return EXIT_OK
 
@@ -280,15 +285,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage to stderr
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except OSError as exc:  # the one place a file's failure becomes a domain error
+            raise FileAccess(str(exc)) from exc
     except AerobotError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_DOMAIN
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
 
 

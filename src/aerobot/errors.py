@@ -1,16 +1,20 @@
 """Exception hierarchy shared by all aerobot modules.
 
-Every domain failure derives from AerobotError so the CLI can map the
-whole family to a single exit code.
+Every refusal in the package is an AerobotError, a ValueError since each one refuses an
+input value. The CLI maps this family, and nothing else, to exit 1.
 """
 
 
-class AerobotError(Exception):
+class AerobotError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
-class OutOfRange(AerobotError, ValueError):
-    """A number is non-finite or out of its supported range, or a result passes float range."""
+class OutOfRange(AerobotError):
+    """A number or size is non-finite or out of its range, or a result passes float range."""
+
+
+class FileAccess(AerobotError):
+    """The CLI cannot read or write a named file (missing, a directory, no permission)."""
 
 
 # raster -----------------------------------------------------------------
@@ -28,7 +32,7 @@ class MaxvalUnsupported(AerobotError):
 
 
 class NonPositiveDimensions(AerobotError):
-    """PNM header declares a zero or negative width/height."""
+    """An image or its PNM header declares a zero or negative width/height."""
 
 
 class NotGrayscale(AerobotError):
@@ -79,11 +83,11 @@ class BadTopology(AerobotError):
 
 
 class DimensionMismatch(AerobotError):
-    """Vector length does not match the expected layer size."""
+    """An array's length or shape does not match the size it must have or is paired with."""
 
 
 class NonBipolarPattern(AerobotError):
-    """Pattern entries must all be -1 or +1."""
+    """Pattern entries must all be -1 or +1 (a recall probe may also hold 0)."""
 
 
 class LengthMismatch(AerobotError):
@@ -95,7 +99,7 @@ class NonConvergent(AerobotError):
 
 
 class EmptyDataset(AerobotError):
-    """Diagnostics need at least one input vector."""
+    """An input holds no samples: a dataset, histogram or Hopfield pattern list."""
 
 
 # sidewalk ---------------------------------------------------------------
@@ -125,7 +129,7 @@ class SubUnitySafetyFactor(AerobotError):
 
 
 class ConfigInvalid(AerobotError):
-    """A configuration (simulation or inspection) or a rulebase fails validation."""
+    """A simulation, inspection, activation or Gabor setting, a rulebase or its query is invalid."""
 
 
 class ParseError(AerobotError):

@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigInvalid, NoRuleFired, OutOfRange, ParseError
+from .errors import ConfigInvalid, DimensionMismatch, NoRuleFired, OutOfRange, ParseError
 
 N_ROTORS = 8
 # bounds on the output sample grid; the upper one caps each curve's allocation
@@ -35,10 +35,10 @@ class MembershipFunction:
 
     def __post_init__(self):
         if len(self.points) not in (3, 4):
-            raise ValueError(f"need 3 or 4 breakpoints, got {len(self.points)}")
+            raise ConfigInvalid(f"need 3 or 4 breakpoints, got {len(self.points)}")
         if (not all(map(math.isfinite, self.points))
                 or any(b < a for a, b in zip(self.points, self.points[1:]))):
-            raise ValueError(f"breakpoints must be finite and non-decreasing: {self.points}")
+            raise ConfigInvalid(f"breakpoints must be finite and non-decreasing: {self.points}")
 
     @classmethod
     def triangle(cls, a: float, b: float, c: float) -> "MembershipFunction":
@@ -86,12 +86,12 @@ class FuzzyVariable:
     def __post_init__(self):
         lo, hi = self.universe
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"universe {self.universe} is empty or not finite")
+            raise ConfigInvalid(f"universe {self.universe} is empty or not finite")
         if len(self.sets) < 2:
-            raise ValueError(f"variable {self.name!r} needs >= 2 labels")
+            raise ConfigInvalid(f"variable {self.name!r} needs >= 2 labels")
         for label, mf in self.sets.items():
             if mf.points[0] < lo or mf.points[-1] > hi:
-                raise ValueError(f"{self.name}.{label} breakpoints leave the universe")
+                raise ConfigInvalid(f"{self.name}.{label} breakpoints leave the universe")
 
     def clamp(self, x):
         lo, hi = self.universe
@@ -111,7 +111,7 @@ class FuzzySystem:
 
     def __init__(self, inputs, outputs, rules, samples: int = 201):
         if not MIN_SAMPLES <= samples <= MAX_SAMPLES:
-            raise ValueError(f"samples {samples} outside {MIN_SAMPLES}..{MAX_SAMPLES}")
+            raise ConfigInvalid(f"samples {samples} outside {MIN_SAMPLES}..{MAX_SAMPLES}")
         self.inputs = {v.name: v for v in inputs}
         self.outputs = {v.name: v for v in outputs}
         self.rules = tuple(rules)
@@ -119,10 +119,10 @@ class FuzzySystem:
         for rule in self.rules:
             for var, label in rule.antecedents:
                 if var not in self.inputs or label not in self.inputs[var].sets:
-                    raise ValueError(f"unknown antecedent {var}.{label}")
+                    raise ConfigInvalid(f"unknown antecedent {var}.{label}")
             var, label = rule.consequent
             if var not in self.outputs or label not in self.outputs[var].sets:
-                raise ValueError(f"unknown consequent {var}.{label}")
+                raise ConfigInvalid(f"unknown consequent {var}.{label}")
         self._stacks = {name: (tuple(var.sets),) + _curve_stack(
             tuple(var.universe), tuple(tuple(mf._abcd()) for mf in var.sets.values()), samples)
             for name, var in self.outputs.items()}
@@ -153,7 +153,7 @@ def _infer_batch(system: FuzzySystem, values: dict) -> dict:
     inputs = {}
     for name, var in system.inputs.items():
         if name not in values:
-            raise ValueError(f"missing input {name!r}")
+            raise ConfigInvalid(f"missing input {name!r}")
         inputs[name] = var.clamp(values[name])
     # numbers add nothing to the shape, and np.broadcast takes at most 64 arguments
     shape = np.broadcast(*[x for x in inputs.values() if isinstance(x, np.ndarray)]).shape
@@ -233,7 +233,7 @@ def pesticide_dose(density: float, system: FuzzySystem | None = None) -> float:
     """Liters of pesticide per unit area for a green-cover fraction, by a rulebase whose
     one input is green_density and which has a dose output (else ConfigInvalid)."""
     if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density {density} outside [0, 1]")
+        raise OutOfRange(f"density {density} outside [0, 1]")
     sys_ = system if system is not None else default_dosing_system()
     if sys_.inputs.keys() != {"green_density"} or "dose" not in sys_.outputs:
         raise ConfigInvalid(f"not a dosing rulebase: {[*sys_.inputs]} -> {[*sys_.outputs]}")
@@ -328,11 +328,11 @@ def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
     az = np.atleast_1d(np.asarray(azimuths_deg, dtype=np.float64))
     ext = np.atleast_1d(np.asarray(extensions, dtype=np.float64))
     if az.shape != ext.shape:
-        raise ValueError("azimuths and extensions must align")
+        raise DimensionMismatch("azimuths and extensions must align")
     if not np.all(np.isfinite(az)):
-        raise ValueError("azimuth is not finite")
+        raise OutOfRange("azimuth is not finite")
     if not np.all((ext >= 0.0) & (ext <= 1.0)):  # NaN fails both comparisons
-        raise ValueError("extension outside [0, 1]")
+        raise OutOfRange("extension outside [0, 1]")
     system = arm_compensation_system()
     deltas = np.empty((az.shape[0], N_ROTORS))
     for start in range(0, az.shape[0], _CHUNK_POSES):

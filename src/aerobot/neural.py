@@ -14,11 +14,13 @@ import numpy as np
 
 from .errors import (
     BadTopology,
+    ConfigInvalid,
     DimensionMismatch,
     EmptyDataset,
     LengthMismatch,
     NonBipolarPattern,
     NonConvergent,
+    OutOfRange,
 )
 
 SIGMOID = "sigmoid"
@@ -39,9 +41,9 @@ class Activation:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown activation {self.kind!r}")
+            raise ConfigInvalid(f"unknown activation {self.kind!r}")
         if self.kind == LEAKY_RELU and not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha {self.alpha} outside (0, 1)")
+            raise ConfigInvalid(f"alpha {self.alpha} outside (0, 1)")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -90,6 +92,8 @@ def mlp_init(layer_sizes, activation: Activation, seed: int) -> Mlp:
     n_params = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
     if n_params > MAX_PARAMETERS:
         raise BadTopology(f"{n_params} weights and biases, above the budget of {MAX_PARAMETERS}")
+    if seed < 0:  # default_rng's own refusal is an untyped ValueError
+        raise OutOfRange(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)
     weights = [rng.uniform(-0.5, 0.5, size=(sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
     biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
@@ -150,7 +154,7 @@ def _gradients(net: Mlp, x: np.ndarray, target: np.ndarray):
 def mlp_train_step(net: Mlp, batch, learning_rate: float) -> tuple[Mlp, float]:
     """One batch-averaged gradient descent step; returns the pre-update MSE."""
     if learning_rate < 0:
-        raise ValueError(f"learning rate {learning_rate}")
+        raise OutOfRange(f"learning rate {learning_rate}")
     if not batch:
         raise EmptyDataset("batch is empty")
     inputs, targets = zip(*batch)
@@ -170,7 +174,7 @@ def gradient_check(net: Mlp, x, target, epsilon: float = 1e-5) -> float:
     the two-sided difference never straddles one.
     """
     if not 0.0 < epsilon <= 1e-2:
-        raise ValueError(f"epsilon {epsilon} outside (0, 1e-2]")
+        raise OutOfRange(f"epsilon {epsilon} outside (0, 1e-2]")
     x = np.asarray(x, dtype=np.float64)[None]
     target = np.asarray(target, dtype=np.float64)[None]
     grads_w, grads_b, _, _ = _gradients(net, x, target)
@@ -256,7 +260,7 @@ def hopfield_train(patterns, n: int) -> HopfieldNet:
     """Hebbian storage: W = P^T P / n over the pattern rows P, diagonal forced to 0."""
     checked = [_check_bipolar(p, n) for p in patterns]
     if not checked:
-        raise ValueError("need at least one pattern")
+        raise EmptyDataset("need at least one pattern")
     stacked = np.array(checked)
     weights = stacked.T @ stacked / n
     np.fill_diagonal(weights, 0.0)
@@ -274,9 +278,9 @@ def hopfield_recall(net: HopfieldNet, pattern, max_iter: int = 10) -> tuple[np.n
     if state.shape != (net.n,):
         raise LengthMismatch(f"input length {state.shape}, expected {net.n}")
     if not np.all(np.isin(state, (-1.0, 0.0, 1.0))):
-        raise ValueError(f"entries must be -1, 0, or +1, got {list(state)}")
+        raise NonBipolarPattern(f"entries must be -1, 0, or +1, got {list(state)}")
     if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+        raise OutOfRange("max_iter must be >= 1")
     for sweep in range(1, max_iter + 1):
         field_ = net.weights @ state
         new_state = np.where(field_ > 0.0, 1.0, np.where(field_ < 0.0, -1.0, state))

@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    DimensionMismatch,
     MaxvalUnsupported,
     NonPositiveDimensions,
     NotGrayscale,
+    OutOfRange,
     TruncatedData,
 )
 
@@ -34,12 +36,12 @@ class Image:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError(f"dimensions must be positive, got {self.width}x{self.height}")
+            raise NonPositiveDimensions(f"{self.width}x{self.height}")
         if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
+            raise OutOfRange(f"channels must be 1 or 3, got {self.channels}")
         expected = self.width * self.height * self.channels
         if len(self.samples) != expected:
-            raise ValueError(f"expected {expected} samples, got {len(self.samples)}")
+            raise DimensionMismatch(f"expected {expected} samples, got {len(self.samples)}")
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Image":
@@ -50,10 +52,10 @@ class Image:
         elif a.ndim == 3 and a.shape[2] == 3:
             channels = 3
         else:
-            raise ValueError(f"unsupported array shape {a.shape}")
+            raise DimensionMismatch(f"unsupported array shape {a.shape}")
         if a.dtype != np.uint8:
             if a.min() < 0 or a.max() > 255:
-                raise ValueError("sample values outside 0..255")
+                raise OutOfRange("sample values outside 0..255")
             a = a.astype(np.uint8)
         h, w = a.shape[:2]
         return cls(w, h, channels, a.tobytes())
@@ -81,7 +83,7 @@ class Histogram:
 
     def __post_init__(self):
         if len(self.bins) != 256:
-            raise ValueError(f"histogram needs 256 bins, got {len(self.bins)}")
+            raise DimensionMismatch(f"histogram needs 256 bins, got {len(self.bins)}")
 
     def total(self) -> int:
         return sum(self.bins)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadThresholds, ConfigInvalid, NonConvergent, NoStripFound
+from .errors import BadThresholds, ConfigInvalid, NonConvergent, NoStripFound, OutOfRange
 from .neural import HopfieldNet, hopfield_recall, hopfield_train
 from .raster import Image, to_grayscale
 from .vision import wavelet_response
@@ -111,7 +111,7 @@ def extract_strip(img: Image, sigma: float = 2.0, block_length: int = 8,
         raise ConfigInvalid(f"block_length {block_length} below 1")
     gray = to_grayscale(img)
     if gray.height <= block_length or gray.width < block_length:
-        raise ValueError("image smaller than one block")
+        raise OutOfRange(f"frame {gray.width}x{gray.height} too small for block {block_length}")
     response = wavelet_response(gray, sigma)
     row_strength = np.abs(response.values).sum(axis=1)
     window = np.convolve(row_strength, np.ones(block_length), mode="valid")

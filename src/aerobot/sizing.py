@@ -29,10 +29,10 @@ class MassEntry:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError(f"{self.name!r}: count {self.count} below 1")
+            raise OutOfRange(f"{self.name!r}: count {self.count} below 1")
         # an int count past float range raises OverflowError here
         if not 0 <= self.grams * self.count < math.inf:
-            raise ValueError(f"{self.name!r}: {self.count} x {self.grams} g not finite or < 0")
+            raise OutOfRange(f"{self.name!r}: {self.count} x {self.grams} g not finite or < 0")
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,8 @@ def load_mass_table(text: str) -> MassTable:
     for line_no, row in rows[1:]:
         if len(row) != 3:
             raise ParseError(f"expected 3 columns, got {len(row)}", row=line_no)
-        name = row[0].strip()
-        try:
-            grams = float(row[1])
-            count = int(row[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), row=line_no) from exc
-        try:
-            entries.append(MassEntry(name, grams, count))
+        try:  # MassEntry's refusals are ValueErrors, as are float's and int's
+            entries.append(MassEntry(row[0].strip(), float(row[1]), int(row[2])))
         except (OverflowError, ValueError) as exc:
             raise ParseError(str(exc), row=line_no) from exc
     return MassTable(tuple(entries))
@@ -86,17 +80,15 @@ class ThrustSpec:
     safety_factor: float = 1.2
 
     def __post_init__(self):
-        if self.total_weight_kg < 0:
-            raise ValueError(f"weight {self.total_weight_kg} kg is negative")
         if self.rotors not in (4, 6, 8):
             raise BadRotorCount(f"rotor count {self.rotors} not in (4, 6, 8)")
         if self.safety_factor < 1.0:
             # a sub-unity margin would size rotors below hover weight
             raise SubUnitySafetyFactor(f"safety factor {self.safety_factor} < 1")
-        # one product catches a non-finite weight or factor and a thrust past float range
-        if not math.isfinite(2.0 * self.total_weight_kg * self.safety_factor * GRAVITY):
+        # one product catches a negative or non-finite weight or factor and an overflowing thrust
+        if not 0 <= 2.0 * self.total_weight_kg * self.safety_factor * GRAVITY < math.inf:
             raise OutOfRange(f"weight {self.total_weight_kg} kg and safety factor "
-                             f"{self.safety_factor} give no finite thrust")
+                             f"{self.safety_factor} give no finite, non-negative thrust")
 
 
 def thrust_per_rotor(spec: ThrustSpec) -> float:

@@ -17,8 +17,11 @@ import numpy as np
 
 from .errors import (
     BadRadiusRange,
+    ConfigInvalid,
     DegenerateHistogram,
+    DimensionMismatch,
     EmptyBank,
+    EmptyDataset,
     NonPositiveSigma,
     NotGrayscale,
     NotRGB,
@@ -50,7 +53,7 @@ class ResponseMap:
 
     def __post_init__(self):
         if self.values.shape != (self.height, self.width):
-            raise ValueError(f"values shaped {self.values.shape}, expected {(self.height, self.width)}")
+            raise DimensionMismatch(f"values {self.values.shape}, not {(self.height, self.width)}")
 
     def to_pgm_image(self) -> Image:
         """Min-max scale to 0..255 for visual inspection; flat maps go black."""
@@ -91,7 +94,7 @@ class GaborParams:
 
     def __post_init__(self):
         if self.wavelength <= 0 or self.sigma <= 0 or self.aspect <= 0:
-            raise ValueError("wavelength, sigma, and aspect must be positive")
+            raise ConfigInvalid("wavelength, sigma, and aspect must be positive")
 
 
 def default_gabor_bank(wavelength: float = 8.0, sigma: float = 4.0) -> list[GaborParams]:
@@ -112,7 +115,7 @@ def otsu_threshold(hist: Histogram) -> int:
     bins = hist.bins
     total = sum(bins)
     if total == 0:
-        raise ValueError("histogram is empty")
+        raise EmptyDataset("histogram is empty")
     nonzero = [v for v in range(256) if bins[v] > 0]
     if len(nonzero) == 1:
         raise DegenerateHistogram(nonzero[0])
@@ -160,18 +163,16 @@ def mexican_hat_kernel(sigma: float, radius: int | None = None) -> np.ndarray:
 
     The zero sum makes constant regions vanish under convolution. Radius
     defaults to ceil(4*sigma), which captures the full ripple; a radius
-    above MAX_KERNEL_RADIUS, or a sigma so small that r^2/2s^2 passes float
+    outside 1..MAX_KERNEL_RADIUS, or a sigma so small that r^2/2s^2 passes float
     range at the kernel's corner, raises OutOfRange before anything is built.
     """
     if not 0 < sigma < math.inf:
         raise NonPositiveSigma(f"sigma {sigma}")
-    # ceil(4 * sigma) passes an integer bound exactly when 4 * sigma does
-    if (4 * sigma if radius is None else radius) > MAX_KERNEL_RADIUS:
-        raise OutOfRange(f"kernel radius above {MAX_KERNEL_RADIUS}: sigma {sigma}, radius {radius}")
+    # ceil(4 * sigma) passes an integer bound exactly when 4 * sigma does, and is >= 1
+    if not 0 < (4 * sigma if radius is None else radius) <= MAX_KERNEL_RADIUS:
+        raise OutOfRange(f"kernel radius outside 1..{MAX_KERNEL_RADIUS}: sigma {sigma}, r {radius}")
     if radius is None:
         radius = math.ceil(4 * sigma)
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
     # an infinite u makes (1 - u) * exp(-u) NaN; r^2 is largest, 2 radius^2, at a corner
     two_s2 = 2.0 * float(sigma) * float(sigma)
     if two_s2 == 0.0 or 2.0 * radius * radius / two_s2 == math.inf:
@@ -341,7 +342,7 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
     cells = (ys + py) * gw + (xs + px)
     batch = max(1, _VOTE_CHUNK // max(plane, math.ceil(360.0 / angle_step)))
     found = []
-    for lo in range(r_min, r_max + 1, batch):
+    for lo in range(r_min, min(r_max, w + h) + 1, batch):  # no radius past w + h reaches a center
         n, shifts = _circle_offsets(lo, min(lo + batch, r_max + 1), angle_step, py, px, gw, plane)
         if n == 0:
             break
@@ -424,10 +425,10 @@ def pca_project(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     data = np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
-        raise ValueError("need a matrix of at least 2 vectors")
+        raise DimensionMismatch("need a matrix of at least 2 vectors")
     n, dim = data.shape
     if not 1 <= k <= dim:
-        raise ValueError(f"k {k} outside 1..{dim}")
+        raise OutOfRange(f"k {k} outside 1..{dim}")
     centered = data - data.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     if not cov.any():

@@ -195,6 +195,17 @@ class TestDetectors:
         cx, cy, r, _ = (int(v) for v in lines[1].split(","))
         assert (abs(cx - 10) <= 1 and abs(cy - 10) <= 1 and abs(r - 5) <= 1)
 
+    @pytest.mark.parametrize("r_min, r_max", [(2**63, 2**63), (2**63, 2**64)])
+    def test_radii_past_int64_find_nothing(self, capsys, tmp_path, r_min, r_max):
+        # such radii once overflowed the int64 offsets into numpy's untyped ValueError
+        arr = np.zeros((11, 11), np.uint8)
+        arr[:, 5] = 255
+        path = tmp_path / "edges.pgm"
+        path.write_bytes(write_pnm(Image.from_array(arr)))
+        code, out, err = run(capsys, "detect-circles", str(path),
+                             "--r-min", str(r_min), "--r-max", str(r_max))
+        assert (code, out, err) == (0, "cx,cy,r,votes\n", "")
+
     def test_bad_radius_range_domain_error(self, capsys, tmp_path):
         path = tmp_path / "edges.pgm"
         path.write_bytes(write_pnm(Image.from_array(np.zeros((5, 5), np.uint8))))
@@ -457,8 +468,11 @@ NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
 CURB = ["inspect-sidewalk", "{curb}", "--overlay", "{out}.pgm", "--report", "{out}.json",
         "--sigma"]
 
-# argv ({curb}, {field}, {edges}, {doc} and {out} name files in a fresh directory),
-# the bytes of {doc}, and the error type the call must end in
+SMALL_FRAME = write_pnm(Image.from_array(np.arange(400, dtype=np.uint8).reshape(20, 20)))
+TINY_FRAME = write_pnm(Image.from_array(np.eye(4, dtype=np.uint8) * 255))
+
+# argv ({curb}, {field}, {edges}, {doc} and {out} name files in a fresh directory, {dir}
+# the directory itself), the bytes of {doc}, and the error type the call must end in
 HOSTILE = {
     "dose-output-liters": (["dose", "{field}", "--system", "{doc}"],
                            DOSING_JSON.replace('"dose"', '"liters"').encode(), "ConfigInvalid"),
@@ -487,6 +501,26 @@ HOSTILE = {
     "system-not-utf8": (["dose", "{field}", "--system", "{doc}"], NOT_UTF8, "ParseError"),
     "mass-table-not-utf8": (["thrust", "--mass-table", "{doc}", "--rotors", "4"], NOT_UTF8,
                             "ParseError"),
+    # numpy's default_rng refuses a negative seed with a bare ValueError
+    "seed--1-gradient-check": (["nn-demo", "--gradient-check", "--seed", "-1"], None,
+                               "OutOfRange"),
+    "seed--1-diagnose": (["nn-demo", "--diagnose", "--seed", "-1"], None, "OutOfRange"),
+    # a frame not taller than one block
+    "frame-20x20-block-30": (["inspect-sidewalk", "{doc}", "--block", "30"], SMALL_FRAME,
+                             "OutOfRange"),
+    "frame-4x4": (["inspect-sidewalk", "{doc}"], TINY_FRAME, "OutOfRange"),
+    # files the CLI cannot read or write
+    "otsu-out-missing-dir": (["otsu", "{edges}", "--out", "{out}/x.pgm"], None, "FileAccess"),
+    "mask-missing-dir": (["green-density", "{field}", "--mask", "{out}/m.pgm"], None,
+                         "FileAccess"),
+    "image-is-a-directory": (["otsu", "{dir}"], None, "FileAccess"),
+    "config-is-a-directory": (["simulate", "--config", "{dir}"], None, "FileAccess"),
+    "system-is-a-directory": (["dose", "{field}", "--system", "{dir}"], None, "FileAccess"),
+    "mass-table-is-a-directory": (["thrust", "--mass-table", "{dir}", "--rotors", "4"], None,
+                                  "FileAccess"),
+    # the report write fails after the overlay was written; the overlay is removed
+    "report-missing-dir": (["inspect-sidewalk", "{curb}", "--overlay", "{out}.pgm",
+                            "--report", "{out}/r.json"], None, "FileAccess"),
 }
 
 
@@ -501,7 +535,7 @@ class TestHostileInputs:
         (tmp_path / "edges.pgm").write_bytes(write_pnm(Image.from_array(edges)))
         (tmp_path / "doc").write_bytes(doc or b"")
         names = {"curb": sidewalk_pgm, "field": half_green_ppm, "edges": tmp_path / "edges.pgm",
-                 "doc": tmp_path / "doc", "out": tmp_path / "out"}
+                 "doc": tmp_path / "doc", "out": tmp_path / "out", "dir": tmp_path}
         inputs = set(tmp_path.iterdir())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

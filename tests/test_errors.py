@@ -1,0 +1,50 @@
+"""One error family: every refusal in the package raises an aerobot.errors class."""
+
+import ast
+import inspect
+import textwrap
+from pathlib import Path
+
+import aerobot
+from aerobot import cli, errors
+
+SRC = Path(aerobot.__file__).parent
+# the only raises outside the family: argparse's hook for a bad --layers value, and the
+# package __getattr__, whose AttributeError Python's attribute lookup relies on
+OUTSIDE_THE_FAMILY = {("cli.py", "argparse.ArgumentTypeError"), ("__init__.py", "AttributeError")}
+
+
+def family() -> set:
+    return {name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.AerobotError)}
+
+
+def raised(path: Path):
+    """(line, exception name) of every raise in a file; a bare re-raise names None."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, None if exc is None else ast.unparse(exc)
+
+
+def test_every_raise_names_an_aerobot_error_or_re_raises():
+    allowed = family()
+    strays = [(path.name, line, name)
+              for path in sorted(SRC.glob("*.py")) for line, name in raised(path)
+              if name is not None and name not in allowed
+              and (path.name, name) not in OUTSIDE_THE_FAMILY]
+    assert strays == []
+    assert len(allowed) > 20  # the walk saw the family
+
+
+def test_the_family_is_a_value_error():
+    assert issubclass(errors.AerobotError, ValueError)
+    assert errors.OutOfRange.__bases__ == (errors.AerobotError,)
+
+
+def test_run_maps_only_the_family_to_exit_1():
+    """Usage exits, the one OSError translation, and one domain-error branch."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli.run)))
+    caught = [ast.unparse(node.type) for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler)]
+    assert sorted(caught) == ["AerobotError", "OSError", "SystemExit"]

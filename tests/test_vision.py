@@ -680,6 +680,14 @@ class TestHoughCircles:
         assert hough_circles(edges, 1, 12, threshold=0) == [
             hit for hit in hough_circles_oracle(edges, 1, 12, threshold=0) if hit.radius <= reach]
 
+    @pytest.mark.parametrize("r_min, r_max", [(8, 12), (2**63, 2**63), (2**63, 2**64)])
+    def test_radii_past_width_plus_height_find_nothing(self, r_min, r_max):
+        # radii of 2**63 and up once overflowed the int64 offsets; none of w + h or
+        # more reaches a center cell, so the search stops there
+        edges = gray(np.full((3, 5), 255))
+        assert hough_circles(edges, r_min, r_max, threshold=0) == []
+        assert hough_circles_oracle(edges, 8, 12) == []  # no vote lands past w + h = 8
+
     @pytest.mark.parametrize("seed", range(4))
     def test_threshold_one_ties_match_oracle(self, seed):
         rng = np.random.default_rng(40 + seed)
