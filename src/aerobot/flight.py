@@ -1,4 +1,4 @@
-"""A reduced octocopter hover simulator; re-exports sizing and its config.
+"""A reduced octocopter hover simulator, configured by `sizing.SimConfig`.
 
 Roll/pitch only, about hover. Eight rotors on a ring carry the
 weight; a point-mass arm swings around and torques the body; the fuzzy
@@ -19,19 +19,7 @@ from .fuzzy import (
     arm_compensation_deltas,
     tilt_compensation_deltas,
 )
-from .sizing import (  # noqa: F401  re-exported
-    GRAVITY,
-    MAX_STEPS,
-    MassEntry,
-    MassTable,
-    SimConfig,
-    ThrustSpec,
-    default_mass_table,
-    kgf_to_newtons,
-    load_mass_table,
-    thrust_per_rotor,
-    total_mass,
-)
+from .sizing import GRAVITY, SimConfig
 
 
 # one trace record per step, in CSV column order, all float64: 120 B a step

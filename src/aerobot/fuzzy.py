@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -77,13 +78,14 @@ class MembershipFunction:
 
 @dataclass(frozen=True)
 class FuzzyVariable:
-    """Named universe with at least two labeled membership sets."""
+    """Named universe with at least two labeled membership sets, held read-only."""
 
     name: str
     universe: tuple
     sets: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "sets", MappingProxyType(dict(self.sets)))
         lo, hi = self.universe
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigInvalid(f"universe {self.universe} is empty or not finite")
@@ -112,8 +114,8 @@ class FuzzySystem:
     def __init__(self, inputs, outputs, rules, samples: int = 201):
         if not MIN_SAMPLES <= samples <= MAX_SAMPLES:
             raise ConfigInvalid(f"samples {samples} outside {MIN_SAMPLES}..{MAX_SAMPLES}")
-        self.inputs = {v.name: v for v in inputs}
-        self.outputs = {v.name: v for v in outputs}
+        self.inputs = MappingProxyType({v.name: v for v in inputs})
+        self.outputs = MappingProxyType({v.name: v for v in outputs})
         self.rules = tuple(rules)
         self.samples = samples
         for rule in self.rules:

@@ -64,14 +64,6 @@ class Activation:
         return np.where(x >= 0.0, 1.0, self.alpha)
 
 
-def activate(a: Activation, x: float) -> float:
-    return float(a(x))
-
-
-def activate_deriv(a: Activation, x: float) -> float:
-    return float(a.deriv(x))
-
-
 # MLP ------------------------------------------------------------------------
 
 @dataclass
@@ -257,13 +249,15 @@ def _check_bipolar(pattern, n: int) -> np.ndarray:
 
 
 def hopfield_train(patterns, n: int) -> HopfieldNet:
-    """Hebbian storage: W = P^T P / n over the pattern rows P, diagonal forced to 0."""
+    """Hebbian storage: W = P^T P / n over the pattern rows P, diagonal forced to 0.
+    The weights are read-only, so one trained net can be shared."""
     checked = [_check_bipolar(p, n) for p in patterns]
     if not checked:
         raise EmptyDataset("need at least one pattern")
     stacked = np.array(checked)
     weights = stacked.T @ stacked / n
     np.fill_diagonal(weights, 0.0)
+    weights.flags.writeable = False
     return HopfieldNet(n, weights, tuple(tuple(int(v) for v in p) for p in checked))
 
 

@@ -12,6 +12,7 @@ are flagged for paint; overlapping segments vote, and any vote flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -28,8 +29,9 @@ PAINT = "paint"
 UNRESOLVED = "unresolved"
 
 
+@cache
 def sidewalk_memory() -> HopfieldNet:
-    """Three-neuron Hopfield net storing both alternation patterns."""
+    """Three-neuron Hopfield net storing both alternation patterns, trained once."""
     return hopfield_train(FUNDAMENTAL_PATTERNS, 3)
 
 

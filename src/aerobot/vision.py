@@ -3,7 +3,7 @@
 Covers Otsu thresholding, excess-green vegetation density, the Mexican-Hat
 wavelet, Hough line/circle voting, and a real Gabor filter bank with PCA.
 All convolutions reflect-pad so flat borders stay response-free. The
-blackbody power/temperature pair lives in `thermal` and is re-exported here.
+blackbody power/temperature pair lives in `thermal`.
 """
 
 from __future__ import annotations
@@ -29,12 +29,6 @@ from .errors import (
     ZeroVariance,
 )
 from .raster import Histogram, Image
-from .thermal import (  # noqa: F401  re-exported
-    STEFAN_BOLTZMANN,
-    THERMAL_BANDS_UM,
-    radiance_to_temperature,
-    temperature_to_radiance,
-)
 
 DEFAULT_EXG_THRESHOLD = 20
 # largest Mexican-hat kernel radius, px; bounds the (2r+1)^2 kernel and the FFT's 2r padding
@@ -158,21 +152,20 @@ def green_density(img: Image, exg_threshold: int = DEFAULT_EXG_THRESHOLD) -> Gre
 
 # Mexican-Hat wavelet --------------------------------------------------------
 
-def mexican_hat_kernel(sigma: float, radius: int | None = None) -> np.ndarray:
+def mexican_hat_kernel(sigma: float) -> np.ndarray:
     """Square (1 - r^2/2s^2)exp(-r^2/2s^2) kernel, mean-shifted to sum to zero.
 
-    The zero sum makes constant regions vanish under convolution. Radius
-    defaults to ceil(4*sigma), which captures the full ripple; a radius
-    outside 1..MAX_KERNEL_RADIUS, or a sigma so small that r^2/2s^2 passes float
-    range at the kernel's corner, raises OutOfRange before anything is built.
+    The zero sum makes constant regions vanish under convolution. The radius
+    is ceil(4*sigma), which captures the full ripple; a radius past
+    MAX_KERNEL_RADIUS, or a sigma so small that r^2/2s^2 passes float range
+    at the kernel's corner, raises OutOfRange before anything is built.
     """
     if not 0 < sigma < math.inf:
         raise NonPositiveSigma(f"sigma {sigma}")
     # ceil(4 * sigma) passes an integer bound exactly when 4 * sigma does, and is >= 1
-    if not 0 < (4 * sigma if radius is None else radius) <= MAX_KERNEL_RADIUS:
-        raise OutOfRange(f"kernel radius outside 1..{MAX_KERNEL_RADIUS}: sigma {sigma}, r {radius}")
-    if radius is None:
-        radius = math.ceil(4 * sigma)
+    if 4 * sigma > MAX_KERNEL_RADIUS:
+        raise OutOfRange(f"kernel radius outside 1..{MAX_KERNEL_RADIUS}: sigma {sigma}")
+    radius = math.ceil(4 * sigma)
     # an infinite u makes (1 - u) * exp(-u) NaN; r^2 is largest, 2 radius^2, at a corner
     two_s2 = 2.0 * float(sigma) * float(sigma)
     if two_s2 == 0.0 or 2.0 * radius * radius / two_s2 == math.inf:
@@ -223,11 +216,11 @@ def _reflect_convolve(arr: np.ndarray, kernel_shape: tuple, spectrum: np.ndarray
     return np.fft.irfft(rows, n=arr.shape[1] + kw - 1, axis=-1)[..., kw - 1:]
 
 
-def wavelet_response(img: Image, sigma: float, radius: int | None = None) -> ResponseMap:
+def wavelet_response(img: Image, sigma: float) -> ResponseMap:
     """Signed Mexican-Hat coefficient array of a gray image."""
     if img.channels != 1:
         raise NotGrayscale("wavelet response requires a gray image")
-    kernel = mexican_hat_kernel(sigma, radius)
+    kernel = mexican_hat_kernel(sigma)
     arr = img.to_array().astype(np.float64)
     values = _reflect_convolve(arr, kernel.shape, _kernel_spectrum(kernel, arr.shape))
     return ResponseMap(img.width, img.height, values)
@@ -292,10 +285,10 @@ _VOTE_CHUNK = 1 << 18
 
 
 @lru_cache(maxsize=32)
-def _circle_offsets(lo: int, hi: int, angle_step: float, py: int, px: int, gw: int, plane: int):
+def _circle_offsets(lo: int, hi: int, py: int, px: int, gw: int, plane: int):
     """How many radii of lo..hi - 1 reach a center cell, and their sorted,
     distinct, read-only flat offsets within the stack of padded grids."""
-    angles = np.deg2rad(np.arange(0.0, 360.0, angle_step))
+    angles = np.deg2rad(np.arange(360.0))  # one direction per degree
     radii = np.arange(lo, hi)[:, None]
     dy = np.rint(radii * np.sin(angles)).astype(np.int64)
     dx = np.rint(radii * np.cos(angles)).astype(np.int64)
@@ -313,13 +306,12 @@ def _circle_offsets(lo: int, hi: int, angle_step: float, py: int, px: int, gw: i
     return n, _read_only(shifts[np.diff(shifts, prepend=shifts[:1] - 1) != 0])[0]
 
 
-def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
-                  angle_step: float = 1.0) -> list[CircleHit]:
+def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1) -> list[CircleHit]:
     """Circle hits via a (cx, cy, r) accumulator.
 
     Every edge pixel casts one vote per radius into each distinct center cell
-    reached along directions sampled at angle_step degrees, so a hit's votes
-    count supporting edge pixels. Cells with >= threshold votes are returned
+    reached along 360 directions, one per degree, so a hit's votes count
+    supporting edge pixels. Cells with >= threshold votes are returned
     sorted by votes descending. A threshold <= 0 also lists zero-vote cells,
     but only up to the last radius with a rounded offset inside the image
     (at most w - 1 columns and h - 1 rows); no larger radius reaches a center.
@@ -340,10 +332,10 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1,
     gw = w + 2 * px
     plane = (h + 2 * py) * gw
     cells = (ys + py) * gw + (xs + px)
-    batch = max(1, _VOTE_CHUNK // max(plane, math.ceil(360.0 / angle_step)))
+    batch = max(1, _VOTE_CHUNK // max(plane, 360))
     found = []
     for lo in range(r_min, min(r_max, w + h) + 1, batch):  # no radius past w + h reaches a center
-        n, shifts = _circle_offsets(lo, min(lo + batch, r_max + 1), angle_step, py, px, gw, plane)
+        n, shifts = _circle_offsets(lo, min(lo + batch, r_max + 1), py, px, gw, plane)
         if n == 0:
             break
         step = max(1, _VOTE_CHUNK // len(shifts))

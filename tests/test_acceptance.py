@@ -13,16 +13,7 @@ import numpy as np
 import pytest
 
 from aerobot.errors import NonConvergent
-from aerobot.flight import (
-    GRAVITY,
-    SimConfig,
-    ThrustSpec,
-    default_mass_table,
-    max_tilt,
-    simulate_hover,
-    thrust_per_rotor,
-    total_mass,
-)
+from aerobot.flight import max_tilt, simulate_hover
 from aerobot.fuzzy import (
     FuzzySystem,
     FuzzyVariable,
@@ -46,14 +37,16 @@ from aerobot.neural import (
 )
 from aerobot.raster import Histogram, Image
 from aerobot.sidewalk import SidewalkParams, generate_sidewalk, inspect
-from aerobot.vision import (
-    green_density,
-    hough_circles,
-    hough_lines,
-    otsu_threshold,
-    radiance_to_temperature,
-    temperature_to_radiance,
+from aerobot.sizing import (
+    GRAVITY,
+    SimConfig,
+    ThrustSpec,
+    default_mass_table,
+    thrust_per_rotor,
+    total_mass,
 )
+from aerobot.thermal import radiance_to_temperature, temperature_to_radiance
+from aerobot.vision import green_density, hough_circles, hough_lines, otsu_threshold
 
 VERTICES = ((1, -1, 1), (-1, 1, -1))
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from aerobot import cli, errors
-from aerobot.flight import SimConfig
 from aerobot.raster import Image, parse_pnm, write_pnm
 from aerobot.sidewalk import SidewalkParams, generate_sidewalk
+from aerobot.sizing import SimConfig
 
 
 DOSING_JSON = resources.files("aerobot.assets").joinpath("dosing.json").read_text()

@@ -48,3 +48,31 @@ def test_run_maps_only_the_family_to_exit_1():
     caught = [ast.unparse(node.type) for node in ast.walk(tree)
               if isinstance(node, ast.ExceptHandler)]
     assert sorted(caught) == ["AerobotError", "OSError", "SystemExit"]
+
+
+def unused_imports(path: Path) -> list:
+    """Names a module imports but never reads: a re-export or a leftover."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_every_import_is_used():
+    """One home per name: no module imports a name only to re-export it."""
+    unused = [(path.name, line, name)
+              for path in sorted(SRC.glob("*.py")) for line, name in unused_imports(path)]
+    assert unused == []
+
+
+def test_the_import_audit_sees_a_re_export(tmp_path):
+    shim = tmp_path / "shim.py"
+    shim.write_text("from __future__ import annotations\n"
+                    "import math\nimport os.path\n"
+                    "from .sizing import GRAVITY, MAX_STEPS  # noqa: F401\n\n"
+                    "def f():\n    return math.pi * GRAVITY\n")
+    assert unused_imports(shim) == [(3, "os"), (4, "MAX_STEPS")]

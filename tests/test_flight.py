@@ -14,10 +14,16 @@ from aerobot.errors import (
     ParseError,
     SubUnitySafetyFactor,
 )
-from aerobot.flight import (
+from aerobot.flight import TRACE_DTYPE, max_tilt, simulate_hover, trace_to_csv
+from aerobot.fuzzy import (
+    N_ROTORS,
+    ROTOR_AZIMUTHS_DEG,
+    arm_compensation_deltas,
+    tilt_compensation_deltas,
+)
+from aerobot.sizing import (
     GRAVITY,
     MAX_STEPS,
-    TRACE_DTYPE,
     MassEntry,
     MassTable,
     SimConfig,
@@ -25,17 +31,8 @@ from aerobot.flight import (
     default_mass_table,
     kgf_to_newtons,
     load_mass_table,
-    max_tilt,
-    simulate_hover,
     thrust_per_rotor,
     total_mass,
-    trace_to_csv,
-)
-from aerobot.fuzzy import (
-    N_ROTORS,
-    ROTOR_AZIMUTHS_DEG,
-    arm_compensation_deltas,
-    tilt_compensation_deltas,
 )
 
 

@@ -286,6 +286,28 @@ class TestPesticideDose:
         with pytest.raises(ValueError):
             pesticide_dose(1.5)
 
+    @pytest.mark.parametrize("built_in", [default_dosing_system, arm_compensation_system,
+                                          tilt_compensation_system])
+    def test_shared_systems_refuse_writes(self, built_in):
+        system = built_in()
+        name, var = next(iter(system.inputs.items()))
+        out = next(iter(system.outputs))
+        label = next(iter(var.sets))
+        with pytest.raises(TypeError):
+            system.inputs[name] = None
+        with pytest.raises(TypeError):
+            del system.outputs[out]
+        with pytest.raises(TypeError):
+            var.sets[label] = MembershipFunction.triangle(0.0, 0.0, 0.0)
+        assert built_in() is system and built_in().inputs[name].sets[label] is var.sets[label]
+
+    def test_a_variable_keeps_its_own_copy_of_the_sets(self):
+        sets = {"lo": MembershipFunction.triangle(0, 0, 1), "hi": MembershipFunction.triangle(0, 1, 1)}
+        var = FuzzyVariable("x", (0.0, 1.0), sets)
+        sets["lo"] = None
+        assert var.sets["lo"] == MembershipFunction.triangle(0, 0, 1)
+        assert var == FuzzyVariable("x", (0.0, 1.0), {**var.sets})
+
     @pytest.mark.parametrize("text", NOT_DOSING.values(), ids=NOT_DOSING.keys())
     def test_rejects_a_rulebase_that_is_not_for_dosing(self, monkeypatch, text):
         system = system_from_json(text)

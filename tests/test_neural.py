@@ -21,8 +21,6 @@ from aerobot.neural import (
     SIGMOID,
     Activation,
     GradientReport,
-    activate,
-    activate_deriv,
     diagnose,
     gradient_check,
     HopfieldNet,
@@ -43,25 +41,25 @@ def two_vertex_net():
 
 class TestActivations:
     def test_sigmoid_midpoint(self):
-        assert activate(Activation(SIGMOID), 0.0) == 0.5
+        assert float(Activation(SIGMOID)(0.0)) == 0.5
 
     def test_relu_negative_flat(self):
         a = Activation(RELU)
-        assert activate(a, -3.0) == 0.0
-        assert activate_deriv(a, -3.0) == 0.0
+        assert float(a(-3.0)) == 0.0
+        assert float(a.deriv(-3.0)) == 0.0
 
     def test_relu_kink_derivative_is_zero(self):
-        assert activate_deriv(Activation(RELU), 0.0) == 0.0
+        assert float(Activation(RELU).deriv(0.0)) == 0.0
 
     def test_leaky_negative_slope(self):
         a = Activation(LEAKY_RELU, alpha=0.01)
-        assert activate(a, -3.0) == pytest.approx(-0.03)
-        assert activate_deriv(a, -3.0) == 0.01
+        assert float(a(-3.0)) == pytest.approx(-0.03)
+        assert float(a.deriv(-3.0)) == 0.01
 
     def test_sigmoid_range_open(self):
         a = Activation(SIGMOID)
         for x in np.linspace(-40, 40, 41):
-            y = activate(a, x)
+            y = float(a(x))
             assert 0.0 < y < 1.0 or (abs(x) > 30 and 0.0 <= y <= 1.0)
 
     def test_all_non_decreasing(self):
@@ -75,8 +73,8 @@ class TestActivations:
         eps = 1e-6
         for a in (Activation(SIGMOID), Activation(RELU), Activation(LEAKY_RELU)):
             for x in xs:
-                fd = (activate(a, x + eps) - activate(a, x - eps)) / (2 * eps)
-                assert activate_deriv(a, x) == pytest.approx(fd, abs=1e-8)
+                fd = (float(a(x + eps)) - float(a(x - eps))) / (2 * eps)
+                assert float(a.deriv(x)) == pytest.approx(fd, abs=1e-8)
 
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
@@ -405,6 +403,14 @@ class TestHopfieldTrain:
         assert np.allclose(net.weights, expected, atol=1e-12)
         assert np.array_equal(net.weights, net.weights.T)
         assert np.all(np.diag(net.weights) == 0.0)
+
+    def test_weights_refuse_writes(self):
+        net = two_vertex_net()
+        with pytest.raises(ValueError, match="read-only"):
+            net.weights[0, 1] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            net.weights += 1.0
+        assert net.weights[0, 1] == pytest.approx(-2 / 3)
 
     def test_single_pattern(self):
         net = hopfield_train([(1, 1)], 2)

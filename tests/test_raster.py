@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,7 @@ class TestParse:
     def test_p6_binary(self):
         img = parse_pnm(b"P6\n1 1\n255\n" + bytes([10, 20, 30]))
         assert img.channels == 3
-        assert img.pixel(0, 0) == (10, 20, 30)
+        assert tuple(img.to_array()[0, 0]) == (10, 20, 30)
 
     def test_p2_ascii(self):
         img = parse_pnm(b"P2\n3 1\n255\n0 128 255\n")
@@ -275,6 +277,31 @@ class TestAsciiDecoder:
         assert list(parse_pnm(b"P3\n1 1\n255\n7 8 9\n").samples) == [7, 8, 9]
         with pytest.raises(AssertionError, match="comment pass ran"):
             parse_pnm(b"P2\n2 1\n255\n7 # x\n9\n")
+
+    def test_decode_memory_is_bounded(self):
+        # at most the padded text, its digit and token-end masks, and per sample an
+        # int64 end, a uint16 value and one byte of slack
+        rng = np.random.default_rng(8)
+        img = Image.from_array(rng.integers(0, 256, size=(192, 192, 3), dtype=np.uint8))
+        data = write_pnm(img, ascii=True)
+        tracemalloc.start()
+        try:
+            assert parse_pnm(data) == img
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(data) + 11 * len(img.samples)
+
+    @pytest.mark.parametrize("header", [b"P2\n100000 100000\n255\n", b"P3\n9 9999999999999999999 1\n"])
+    def test_an_overstated_size_allocates_by_the_text(self, header):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedData, match="raster has 3 of"):
+                parse_pnm(header + b"1 2 3\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
 
     def test_matches_per_token_oracle(self):
         rng = np.random.default_rng(4)
@@ -421,14 +448,14 @@ class TestHistogram:
     def test_constant(self):
         h = histogram(gray(np.full((3, 3), 7)))
         assert h.bins[7] == 9
-        assert h.total() == 9
+        assert sum(h.bins) == 9
 
     def test_mass_conservation_random(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             h, w = rng.integers(1, 20, size=2)
             img = Image.from_array(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
-            assert histogram(img).total() == h * w
+            assert sum(histogram(img).bins) == h * w
 
     def test_bins_are_python_ints_summing_to_pixels(self):
         rng = np.random.default_rng(6)

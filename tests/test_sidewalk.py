@@ -222,6 +222,13 @@ class TestEncodeTernary:
 
 
 class TestClassifySegment:
+    def test_memory_is_trained_once_and_read_only(self):
+        net = sidewalk_memory()
+        assert sidewalk_memory() is net
+        with pytest.raises(ValueError, match="read-only"):
+            net.weights[0, 1] = 1.0
+        assert classify_segment(FUNDAMENTAL_PATTERNS[0], sidewalk_memory()).verdict == INTACT
+
     def test_stored_vertex_intact(self):
         net = sidewalk_memory()
         for vertex in FUNDAMENTAL_PATTERNS:

@@ -25,10 +25,10 @@ from aerobot.errors import (
     ZeroVariance,
 )
 from aerobot.raster import Histogram, Image, histogram
+from aerobot.thermal import STEFAN_BOLTZMANN, radiance_to_temperature, temperature_to_radiance
 from aerobot.vision import (
     MAX_KERNEL_RADIUS,
     MAX_THETAS,
-    STEFAN_BOLTZMANN,
     GaborParams,
     default_gabor_bank,
     gabor_bank,
@@ -41,8 +41,6 @@ from aerobot.vision import (
     mexican_hat_kernel,
     otsu_threshold,
     pca_project,
-    radiance_to_temperature,
-    temperature_to_radiance,
     wavelet_response,
 )
 
@@ -159,8 +157,8 @@ class TestGreenDensity:
         arr[:, :4] = (0, 255, 0)
         result = green_density(Image.from_array(arr))
         assert result.fraction == 0.5  # pixel-count oracle: 16 of 32
-        assert result.mask.pixel(0, 0) == 255
-        assert result.mask.pixel(7, 0) == 0
+        assert result.mask.to_array()[0, 0] == 255
+        assert result.mask.to_array()[0, 7] == 0
 
     def test_threshold_boundary_is_strict(self):
         # ExG = 2*30 - 20 - 20 = 20, not above the default threshold 20
@@ -205,13 +203,14 @@ class TestGreenDensity:
 class TestMexicanHat:
     def test_center_before_shift_is_one(self):
         # psi(0) = (1 - 0)*e^0 = 1; the built kernel is psi minus its mean
-        sigma, radius = 2.0, 8
+        sigma, radius = 2.0, 8  # radius ceil(4 sigma)
         offs = np.arange(-radius, radius + 1, dtype=float)
         r2 = offs[:, None] ** 2 + offs[None, :] ** 2
         u = r2 / (2 * sigma * sigma)
         psi = (1 - u) * np.exp(-u)
         assert psi[radius, radius] == 1.0
-        k = mexican_hat_kernel(sigma, radius=radius)
+        k = mexican_hat_kernel(sigma)
+        assert k.shape == psi.shape
         assert k[radius, radius] == pytest.approx(1.0 - psi.mean(), abs=1e-15)
 
     def test_zero_crossing_at_sigma_sqrt2(self):
@@ -235,11 +234,11 @@ class TestMexicanHat:
         sigma = MAX_KERNEL_RADIUS / 4
         side = 2 * MAX_KERNEL_RADIUS + 1
         assert mexican_hat_kernel(sigma).shape == (side, side)
-        assert mexican_hat_kernel(1.0, radius=MAX_KERNEL_RADIUS).shape == (side, side)
+        assert mexican_hat_kernel(math.nextafter(sigma, 0)).shape == (side, side)
         with pytest.raises(OutOfRange):
             mexican_hat_kernel(math.nextafter(sigma, math.inf))
-        with pytest.raises(OutOfRange):
-            mexican_hat_kernel(1.0, radius=MAX_KERNEL_RADIUS + 1)
+        with pytest.raises(OutOfRange):  # radius MAX_KERNEL_RADIUS + 1
+            mexican_hat_kernel((MAX_KERNEL_RADIUS + 1) / 4)
 
     # below about 7.5e-155, r^2 / 2 sigma^2 at the corner passes float range
     @pytest.mark.parametrize("sigma", [1e-300, 1e-155, 7.4e-155, 5e-324])
@@ -332,9 +331,10 @@ class TestWaveletResponse:
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(13)
         arr = rng.integers(0, 256, size=(7, 9)).astype(np.float64)
-        kernel = mexican_hat_kernel(1.0, radius=2)  # 5x5
+        kernel = mexican_hat_kernel(0.5)  # radius ceil(4 * 0.5) = 2: 5x5
+        assert kernel.shape == (5, 5)
         expected = direct_convolve(arr, kernel)
-        got = wavelet_response(gray(arr), 1.0, radius=2)
+        got = wavelet_response(gray(arr), 0.5)
         assert np.allclose(got.values, expected, atol=1e-9)
 
     def test_bright_stripe_peaks_on_centerline(self):
@@ -630,13 +630,12 @@ def clipped_circles_image(seed, h, w, n_circles, noise):
 
 
 class TestHoughCircles:
-    @pytest.mark.parametrize("angle_step", [0.5, 1.0, 7.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_per_pixel_oracle(self, angle_step, seed):
+    def test_matches_per_pixel_oracle(self, seed):
         edges = clipped_circles_image(seed, 24 + seed * 5, 30 - seed * 4, 3, 0.02)
         for r_min, r_max, threshold in ((2, 12, 1), (3, 9, 6)):
-            got = hough_circles(edges, r_min, r_max, threshold, angle_step)
-            assert got == hough_circles_oracle(edges, r_min, r_max, threshold, angle_step)
+            got = hough_circles(edges, r_min, r_max, threshold)
+            assert got == hough_circles_oracle(edges, r_min, r_max, threshold)
 
     @pytest.mark.parametrize("r", [1, 4, 11])
     def test_single_radius_matches_oracle(self, r):
@@ -776,7 +775,7 @@ class TestShapeKeyedTables:
 
     def test_memoized_arrays_are_read_only(self):
         arrays = [vision._symmetric_index(7, 12), *vision._line_angles(180, 1.0),
-                  vision._circle_offsets(2, 10, 1.0, 9, 9, 35, 39 * 35)[1]]
+                  vision._circle_offsets(2, 10, 9, 9, 35, 39 * 35)[1]]
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -794,8 +793,8 @@ class TestShapeKeyedTables:
 
     def test_alternating_geometries_match_oracles(self):
         rng = np.random.default_rng(21)
-        a = (clipped_circles_image(4, 19, 23, 3, 0.03), 2, 8, 1.0)
-        b = (clipped_circles_image(5, 31, 12, 4, 0.02), 3, 14, 7.0)
+        a = (clipped_circles_image(4, 19, 23, 3, 0.03), 2, 8)
+        b = (clipped_circles_image(5, 31, 12, 4, 0.02), 3, 14)
         masks = (line_mask(6, 20, 30), line_mask(7, 33, 17))
         crops = [rng.integers(0, 256, size=shape).astype(np.float64) for shape in ((9, 5), (3, 16))]
         kernels = [rng.normal(size=shape) for shape in ((7, 21), (5, 3))]
@@ -803,9 +802,9 @@ class TestShapeKeyedTables:
             if name.startswith("aerobot.vision."):
                 fn.cache_clear()
         for i in (0, 1, 0):
-            edges, r_min, r_max, step = (a, b)[i]
-            assert hough_circles(edges, r_min, r_max, 2, step) == \
-                hough_circles_oracle(edges, r_min, r_max, 2, step)
+            edges, r_min, r_max = (a, b)[i]
+            assert hough_circles(edges, r_min, r_max, 2) == \
+                hough_circles_oracle(edges, r_min, r_max, 2)
             theta_step = (1.0, 4.5)[i]
             assert hough_lines(masks[i], theta_step) == hough_lines_oracle(masks[i], theta_step)
             arr, kernel = crops[i], kernels[i]
