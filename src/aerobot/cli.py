@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AerobotError, FileAccess, OutOfRange, ParseError
+from .errors import AerobotError, FileAccess, ParseError
 
 # Each command imports its layers when it runs, after reading its input, so
 # thermal, thrust, usage errors, unreadable files and bad simulation configs
@@ -83,14 +83,7 @@ def _cmd_dose(args) -> int:
     return EXIT_OK
 
 
-def _check_min_votes(min_votes: int) -> None:
-    """Below 1 vote every accumulator cell is a hit, a list that grows with the image."""
-    if min_votes < 1:
-        raise OutOfRange(f"--min-votes {min_votes} must be at least 1")
-
-
 def _cmd_detect_lines(args) -> int:
-    _check_min_votes(args.min_votes)
     img = _read_image(args.image)
     from . import raster, vision
     hits = vision.hough_lines(raster.to_grayscale(img), theta_step=args.theta_step,
@@ -100,7 +93,6 @@ def _cmd_detect_lines(args) -> int:
 
 
 def _cmd_detect_circles(args) -> int:
-    _check_min_votes(args.min_votes)
     img = _read_image(args.image)
     from . import raster, vision
     hits = vision.hough_circles(raster.to_grayscale(img), args.r_min, args.r_max,
@@ -188,7 +180,7 @@ def _cmd_nn_demo(args) -> int:
     if args.gradient_check:
         x = rng.uniform(-1.0, 1.0, size=sizes[0])
         target = rng.uniform(0.0, 1.0, size=sizes[-1])
-        err = neural.gradient_check(net, x, target, epsilon=1e-5)
+        err = neural.gradient_check(net, x, target)
         _emit({"mode": "gradient-check", "layers": list(sizes),
                "activation": args.activation, "seed": args.seed,
                "max_relative_error": err})

@@ -108,10 +108,6 @@ class NoStripFound(AerobotError):
     """No horizontal band produced a wavelet response above the floor."""
 
 
-class BadThresholds(AerobotError):
-    """Ternary encoding requires 0 <= dark_max < bright_min <= 1."""
-
-
 # fuzzy ------------------------------------------------------------------
 
 class NoRuleFired(AerobotError):

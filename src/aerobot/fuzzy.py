@@ -108,16 +108,24 @@ class Rule:
     consequent: tuple
 
 
+@dataclass(frozen=True, eq=False)
 class FuzzySystem:
-    """Immutable rulebase; per output, one pre-sampled (labels, 1, samples) stack of curves."""
+    """Immutable rulebase; per output, one pre-sampled (labels, 1, samples) stack of curves.
 
-    def __init__(self, inputs, outputs, rules, samples: int = 201):
-        if not MIN_SAMPLES <= samples <= MAX_SAMPLES:
-            raise ConfigInvalid(f"samples {samples} outside {MIN_SAMPLES}..{MAX_SAMPLES}")
-        self.inputs = MappingProxyType({v.name: v for v in inputs})
-        self.outputs = MappingProxyType({v.name: v for v in outputs})
-        self.rules = tuple(rules)
-        self.samples = samples
+    Built from sequences of input and output variables, held read-only by name.
+    """
+
+    inputs: MappingProxyType
+    outputs: MappingProxyType
+    rules: tuple
+    samples: int = 201
+
+    def __post_init__(self):
+        if not MIN_SAMPLES <= self.samples <= MAX_SAMPLES:
+            raise ConfigInvalid(f"samples {self.samples} outside {MIN_SAMPLES}..{MAX_SAMPLES}")
+        object.__setattr__(self, "inputs", MappingProxyType({v.name: v for v in self.inputs}))
+        object.__setattr__(self, "outputs", MappingProxyType({v.name: v for v in self.outputs}))
+        object.__setattr__(self, "rules", tuple(self.rules))
         for rule in self.rules:
             for var, label in rule.antecedents:
                 if var not in self.inputs or label not in self.inputs[var].sets:
@@ -125,9 +133,9 @@ class FuzzySystem:
             var, label = rule.consequent
             if var not in self.outputs or label not in self.outputs[var].sets:
                 raise ConfigInvalid(f"unknown consequent {var}.{label}")
-        self._stacks = {name: (tuple(var.sets),) + _curve_stack(
-            tuple(var.universe), tuple(tuple(mf._abcd()) for mf in var.sets.values()), samples)
-            for name, var in self.outputs.items()}
+        object.__setattr__(self, "_stacks", {name: (tuple(var.sets),) + _curve_stack(
+            tuple(var.universe), tuple(tuple(mf._abcd()) for mf in var.sets.values()), self.samples)
+            for name, var in self.outputs.items()})
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -137,12 +145,6 @@ def _curve_stack(universe: tuple, abcds: tuple, samples: int) -> tuple:
     curves = np.stack([MembershipFunction(abcd)(ys) for abcd in abcds])[:, None, :]
     ys.flags.writeable = curves.flags.writeable = False
     return ys, curves
-
-
-def fuzzify(variable: FuzzyVariable, x: float) -> dict:
-    """Degree of membership per label, with x clamped into the universe."""
-    cx = variable.clamp(float(x))
-    return {label: float(mf(cx)) for label, mf in variable.sets.items()}
 
 
 def _infer_batch(system: FuzzySystem, values: dict) -> dict:

@@ -30,20 +30,21 @@ _KINDS = (SIGMOID, RELU, LEAKY_RELU)
 # weights plus biases of one MLP; bounds what a layer list allocates and the
 # two forward passes per parameter that gradient_check runs
 MAX_PARAMETERS = 10_000
+# negative-side slope of leaky_relu
+LEAKY_SLOPE = 0.01
+# central-difference step of gradient_check
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class Activation:
-    """One of sigmoid, relu, or leaky_relu; alpha is the leaky negative slope."""
+    """One of sigmoid, relu, or leaky_relu (negative slope LEAKY_SLOPE)."""
 
     kind: str
-    alpha: float = 0.01
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigInvalid(f"unknown activation {self.kind!r}")
-        if self.kind == LEAKY_RELU and not 0.0 < self.alpha < 1.0:
-            raise ConfigInvalid(f"alpha {self.alpha} outside (0, 1)")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -51,7 +52,7 @@ class Activation:
             return 1.0 / (1.0 + np.exp(-x))
         if self.kind == RELU:
             return np.maximum(0.0, x)
-        return np.where(x >= 0.0, x, self.alpha * x)
+        return np.where(x >= 0.0, x, LEAKY_SLOPE * x)
 
     def deriv(self, x):
         """Derivative at the pre-activation x; the ReLU kink at 0 maps to 0."""
@@ -61,7 +62,7 @@ class Activation:
             return s * (1.0 - s)
         if self.kind == RELU:
             return np.where(x > 0.0, 1.0, 0.0)
-        return np.where(x >= 0.0, 1.0, self.alpha)
+        return np.where(x >= 0.0, 1.0, LEAKY_SLOPE)
 
 
 # MLP ------------------------------------------------------------------------
@@ -159,14 +160,12 @@ def mlp_train_step(net: Mlp, batch, learning_rate: float) -> tuple[Mlp, float]:
     return net, loss
 
 
-def gradient_check(net: Mlp, x, target, epsilon: float = 1e-5) -> float:
-    """Max relative error of analytic vs central finite-difference gradients.
+def gradient_check(net: Mlp, x, target) -> float:
+    """Max relative error of analytic vs central finite-difference gradients (step FD_STEP).
 
     Callers must keep pre-activations at least 1e-3 from ReLU/leaky kinks so
     the two-sided difference never straddles one.
     """
-    if not 0.0 < epsilon <= 1e-2:
-        raise OutOfRange(f"epsilon {epsilon} outside (0, 1e-2]")
     x = np.asarray(x, dtype=np.float64)[None]
     target = np.asarray(target, dtype=np.float64)[None]
     grads_w, grads_b, _, _ = _gradients(net, x, target)
@@ -182,12 +181,12 @@ def gradient_check(net: Mlp, x, target, epsilon: float = 1e-5) -> float:
             flat_g = g.reshape(-1)
             for i in range(flat_p.size):
                 orig = flat_p[i]
-                flat_p[i] = orig + epsilon
+                flat_p[i] = orig + FD_STEP
                 up = loss_now()
-                flat_p[i] = orig - epsilon
+                flat_p[i] = orig - FD_STEP
                 down = loss_now()
                 flat_p[i] = orig
-                numeric = (up - down) / (2.0 * epsilon)
+                numeric = (up - down) / (2.0 * FD_STEP)
                 denom = max(abs(numeric), abs(flat_g[i]), 1e-12)
                 worst = max(worst, abs(numeric - flat_g[i]) / denom)
     return worst

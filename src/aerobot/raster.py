@@ -137,7 +137,11 @@ def _decimal_samples(body: bytes | memoryview, count: int) -> np.ndarray:
 
 
 def parse_pnm(data: bytes) -> Image:
-    """Decode a P2/P3 (ASCII) or P5/P6 (binary) image, maxval <= 255."""
+    """Decode a P2/P3 (ASCII) or P5/P6 (binary) image, maxval <= 255.
+
+    Samples under a maxval below 255 are rescaled to 0..255 as
+    (v * 255 + maxval // 2) // maxval.
+    """
     magic = data[:2]
     if magic not in _MAGIC_CHANNELS:
         raise BadMagic(f"unsupported magic {magic!r}")
@@ -166,18 +170,20 @@ def parse_pnm(data: bytes) -> Image:
     top = int(values.max())
     if top > maxval:
         raise TruncatedData(f"sample {top} outside 0..{maxval}")
+    if maxval < 255:
+        # rescale to 0..255, rounding half up; v * 255 + maxval // 2 stays below 2**16.
+        # ASCII samples already sit in a writable uint16 array; binary ones are copied
+        values = values.astype(np.uint16, copy=False)
+        values *= 255
+        values += maxval // 2
+        values //= maxval
     return Image(width, height, channels, values.astype(np.uint8, copy=False).tobytes())
 
 
-def write_pnm(img: Image, ascii: bool = False) -> bytes:
-    """Encode to P5/P6, or P2/P3 when ``ascii`` is set; inverse of parse_pnm."""
-    magic = ("P5", "P6", "P2", "P3")[2 * ascii + (img.channels == 3)]
-    header = f"{magic}\n{img.width} {img.height}\n255\n".encode("ascii")
-    if not ascii:
-        return header + img.samples
-    per_row = img.width * img.channels
-    rows = (" ".join(map(str, img.samples[i:i + per_row])) for i in range(0, len(img.samples), per_row))
-    return header + "\n".join(rows).encode("ascii") + b"\n"
+def write_pnm(img: Image) -> bytes:
+    """Encode to binary P5/P6 at maxval 255; parse_pnm reads it back unchanged."""
+    magic = "P6" if img.channels == 3 else "P5"
+    return f"{magic}\n{img.width} {img.height}\n255\n".encode("ascii") + img.samples
 
 
 def to_grayscale(img: Image) -> Image:

@@ -16,13 +16,21 @@ from functools import cache
 
 import numpy as np
 
-from .errors import BadThresholds, ConfigInvalid, NonConvergent, NoStripFound, OutOfRange
+from .errors import ConfigInvalid, NonConvergent, NoStripFound, OutOfRange
 from .neural import HopfieldNet, hopfield_recall, hopfield_train
 from .raster import Image, to_grayscale
 from .vision import wavelet_response
 
 # the two intact alternation patterns a three-block window can show
 FUNDAMENTAL_PATTERNS = ((1, -1, 1), (-1, 1, -1))
+
+# a block mean at or above BRIGHT_MIN encodes +1, at or below DARK_MAX -1, else 0
+BRIGHT_MIN = 0.7
+DARK_MAX = 0.3
+# mean |wavelet response| per pixel the strongest band must reach
+MIN_RESPONSE = 1.0
+# Hopfield sweeps before a segment is unresolved
+MAX_ITER = 10
 
 INTACT = "intact"
 PAINT = "paint"
@@ -71,16 +79,10 @@ class PaintDecision:
 class InspectConfig:
     sigma: float = 2.0
     block_length: int = 8
-    bright_min: float = 0.7
-    dark_max: float = 0.3
-    min_response: float = 1.0  # mean |wavelet response| floor for the band
-    max_iter: int = 10
 
     def __post_init__(self):
-        if not 0.0 <= self.dark_max < self.bright_min <= 1.0:
-            raise BadThresholds(f"dark_max {self.dark_max}, bright_min {self.bright_min}")
-        if self.block_length < 1 or self.max_iter < 1:
-            raise ConfigInvalid(f"block_length {self.block_length}, max_iter {self.max_iter}")
+        if self.block_length < 1:
+            raise ConfigInvalid(f"block_length {self.block_length} below 1")
 
 
 @dataclass(frozen=True)
@@ -101,13 +103,12 @@ class InspectionReport:
         }
 
 
-def extract_strip(img: Image, sigma: float = 2.0, block_length: int = 8,
-                  min_response: float = 1.0) -> BlockStrip:
+def extract_strip(img: Image, sigma: float = 2.0, block_length: int = 8) -> BlockStrip:
     """Locate the band with the strongest wavelet response and split it.
 
     The band is block_length rows tall; the window of rows maximizing the
     summed |response| wins. Raises NoStripFound when the winner's mean
-    |response| per pixel stays under min_response (flat images).
+    |response| per pixel stays under MIN_RESPONSE (flat images).
     """
     if block_length < 1:
         raise ConfigInvalid(f"block_length {block_length} below 1")
@@ -118,7 +119,7 @@ def extract_strip(img: Image, sigma: float = 2.0, block_length: int = 8,
     row_strength = np.abs(response.values).sum(axis=1)
     window = np.convolve(row_strength, np.ones(block_length), mode="valid")
     top = int(np.argmax(window))
-    if window[top] / (block_length * gray.width) < min_response:
+    if window[top] / (block_length * gray.width) < MIN_RESPONSE:
         raise NoStripFound(f"best band response {window[top]:.3g} under the floor")
 
     n = gray.width // block_length
@@ -129,22 +130,20 @@ def extract_strip(img: Image, sigma: float = 2.0, block_length: int = 8,
     return BlockStrip(means, top, block_length)
 
 
-def encode_ternary(means, bright_min: float = 0.7, dark_max: float = 0.3) -> np.ndarray:
+def encode_ternary(means) -> np.ndarray:
     """Map block means to int codes {+1 bright, -1 dark, 0 vague}."""
-    if not 0.0 <= dark_max < bright_min <= 1.0:
-        raise BadThresholds(f"dark_max {dark_max}, bright_min {bright_min}")
     means = np.asarray(means)
-    return np.where(means >= bright_min, 1, np.where(means <= dark_max, -1, 0))
+    return np.where(means >= BRIGHT_MIN, 1, np.where(means <= DARK_MAX, -1, 0))
 
 
-def classify_segment(encoded, net: HopfieldNet, start: int = 0,
-                     max_iter: int = 10) -> PaintDecision:
-    """Recall the nearest stored pattern and flag the disagreeing blocks."""
+def classify_segment(encoded, start: int = 0) -> PaintDecision:
+    """Recall the nearest pattern of sidewalk_memory() and flag the disagreeing blocks."""
     encoded = tuple(int(v) for v in encoded)
+    net = sidewalk_memory()
     if encoded in net.stored_patterns:
         return PaintDecision(start, encoded, encoded, INTACT)
     try:
-        state, _ = hopfield_recall(net, encoded, max_iter=max_iter)
+        state, _ = hopfield_recall(net, encoded, max_iter=MAX_ITER)
     except NonConvergent:
         return PaintDecision(start, encoded, None, UNRESOLVED)
     vertex = tuple(int(v) for v in state)
@@ -161,14 +160,12 @@ def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[Inspec
     in a grayscale copy of the source.
     """
     gray = to_grayscale(img)
-    strip = extract_strip(gray, config.sigma, config.block_length, config.min_response)
-    net = sidewalk_memory()
-    codes = encode_ternary(strip.means, config.bright_min, config.dark_max).tolist()
+    strip = extract_strip(gray, config.sigma, config.block_length)
+    codes = encode_ternary(strip.means).tolist()
     decisions = []
     flagged = set()
     for start in range(len(codes) - 2):
-        decision = classify_segment(codes[start:start + 3], net, start=start,
-                                    max_iter=config.max_iter)
+        decision = classify_segment(codes[start:start + 3], start=start)
         decisions.append(decision)
         flagged.update(decision.paint_blocks)
 

@@ -41,21 +41,7 @@ MAX_THETAS = 3600
 class ResponseMap:
     """Signed per-pixel filter responses (wavelet or Gabor)."""
 
-    width: int
-    height: int
-    values: np.ndarray  # float64, shape (height, width)
-
-    def __post_init__(self):
-        if self.values.shape != (self.height, self.width):
-            raise DimensionMismatch(f"values {self.values.shape}, not {(self.height, self.width)}")
-
-    def to_pgm_image(self) -> Image:
-        """Min-max scale to 0..255 for visual inspection; flat maps go black."""
-        lo, hi = float(self.values.min()), float(self.values.max())
-        if hi == lo:
-            return Image.from_array(np.zeros((self.height, self.width), dtype=np.uint8))
-        scaled = np.floor((self.values - lo) / (hi - lo) * 255.0 + 0.5)
-        return Image.from_array(scaled.astype(np.uint8))
+    values: np.ndarray  # float64, shape (height, width) of the filtered image
 
 
 class LineHit(NamedTuple):
@@ -223,7 +209,7 @@ def wavelet_response(img: Image, sigma: float) -> ResponseMap:
     kernel = mexican_hat_kernel(sigma)
     arr = img.to_array().astype(np.float64)
     values = _reflect_convolve(arr, kernel.shape, _kernel_spectrum(kernel, arr.shape))
-    return ResponseMap(img.width, img.height, values)
+    return ResponseMap(values)
 
 
 # Hough voting ---------------------------------------------------------------
@@ -242,10 +228,13 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     rho is accumulated at 1-pixel resolution over x cos(theta) + y sin(theta),
     theta over [0, 180) at theta_step degrees. Cells with >= threshold votes
     are returned sorted by votes descending. A theta_step must divide 180
-    into at most MAX_THETAS angles, or OutOfRange is raised.
+    into at most MAX_THETAS angles and the threshold be at least 1 (not NaN),
+    or OutOfRange is raised.
     """
     if edges.channels != 1:
         raise NotGrayscale("edge image must be gray")
+    if not threshold >= 1:  # below 1 vote every cell is a hit, a list that grows with the image
+        raise OutOfRange(f"threshold {threshold} must be at least 1")
     n_theta = 180.0 / theta_step if 0 < theta_step < math.inf else math.inf
     if n_theta > MAX_THETAS or n_theta != round(n_theta):
         raise OutOfRange(f"theta_step {theta_step} must divide 180 in at most {MAX_THETAS} steps")
@@ -312,12 +301,12 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1) -> l
     Every edge pixel casts one vote per radius into each distinct center cell
     reached along 360 directions, one per degree, so a hit's votes count
     supporting edge pixels. Cells with >= threshold votes are returned
-    sorted by votes descending. A threshold <= 0 also lists zero-vote cells,
-    but only up to the last radius with a rounded offset inside the image
-    (at most w - 1 columns and h - 1 rows); no larger radius reaches a center.
+    sorted by votes descending; a threshold below 1, or NaN, raises OutOfRange.
     """
     if edges.channels != 1:
         raise NotGrayscale("edge image must be gray")
+    if not threshold >= 1:
+        raise OutOfRange(f"threshold {threshold} must be at least 1")
     if not 0 < r_min <= r_max:
         raise BadRadiusRange(f"r_min {r_min}, r_max {r_max}")
     ys, xs = np.divmod(np.flatnonzero(np.frombuffer(edges.samples, np.uint8) == 255), edges.width)
@@ -405,7 +394,7 @@ def gabor_bank(img: Image, params: list[GaborParams]) -> list[ResponseMap]:
         raise EmptyBank("bank has no parameter sets")
     arr = img.to_array().astype(np.float64)
     values = _reflect_convolve(arr, *_gabor_spectra(tuple(params), arr.shape))
-    return [ResponseMap(img.width, img.height, v) for v in values]
+    return [ResponseMap(v) for v in values]
 
 
 def pca_project(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

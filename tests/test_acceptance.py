@@ -212,7 +212,7 @@ def test_criterion_07_gradient_check():
             pre.append(z)
             a = net.activation(z)
         assert min(abs(v) for z in pre for v in z) > 1e-3
-        worst[kind] = gradient_check(net, probe, target, epsilon=1e-5)
+        worst[kind] = gradient_check(net, probe, target)
         assert worst[kind] < 1e-6
     report(7, "max relative gradient error vs central differences: " +
               ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))

@@ -488,13 +488,13 @@ HOSTILE = {
     "theta-inf": (["detect-lines", "{edges}", "--theta-step", "inf"], None, "OutOfRange"),
     "theta-1e-9": (["detect-lines", "{edges}", "--theta-step", "1e-9"], None, "OutOfRange"),
     "theta-0.0001": (["detect-lines", "{edges}", "--theta-step", "0.0001"], None, "OutOfRange"),
-    # below 1 vote every accumulator cell is a hit; refused before the image is read
+    # below 1 vote every accumulator cell is a hit; the Hough functions refuse it
     "lines-min-votes-0": (["detect-lines", "{edges}", "--min-votes", "0"], None, "OutOfRange"),
-    "lines-min-votes--1": (["detect-lines", "{out}.pgm", "--min-votes", "-1"], None,
+    "lines-min-votes--1": (["detect-lines", "{edges}", "--min-votes", "-1"], None,
                            "OutOfRange"),
     "circles-min-votes-0": (["detect-circles", "{edges}", "--r-min", "1", "--r-max", "60",
                              "--min-votes", "0"], None, "OutOfRange"),
-    "circles-min-votes--1": (["detect-circles", "{out}.pgm", "--r-min", "1", "--r-max", "60",
+    "circles-min-votes--1": (["detect-circles", "{edges}", "--r-min", "1", "--r-max", "60",
                               "--min-votes", "-1"], None, "OutOfRange"),
     "config-not-utf8": (["simulate", "--config", "{doc}", "--trace", "{out}.csv"], NOT_UTF8,
                         "ParseError"),

@@ -35,8 +35,15 @@ UNREADABLE = ["{dir}/missing", "{dir}", "{dir}/garbage"]
 OUTPUTS = ["{new}/a", "{new}/b", "{dir}/missing/x", "{dir}"]
 
 
-def _pgm(arr, ascii=False) -> bytes:
-    return write_pnm(Image.from_array(np.asarray(arr, np.uint8)), ascii=ascii)
+def _pgm(arr) -> bytes:
+    return write_pnm(Image.from_array(np.asarray(arr, np.uint8)))
+
+
+def _ascii_pgm(arr) -> bytes:
+    """P2 text of arr, one raster row per line."""
+    arr = np.asarray(arr, np.uint8)
+    rows = "\n".join(" ".join(map(str, row)) for row in arr.tolist())
+    return f"P2\n{arr.shape[1]} {arr.shape[0]}\n255\n{rows}\n".encode()
 
 
 def _flip(data: bytes, i: int) -> bytes:
@@ -57,14 +64,14 @@ def _files() -> dict:
     return {
         "gray.pgm": _pgm(gray), "field.ppm": write_pnm(Image.from_array(rgb.astype(np.uint8))),
         "edges.pgm": _pgm(edges), "curb.pgm": curb,
-        "ascii.pgm": _pgm(gray, ascii=True),
+        "ascii.pgm": _ascii_pgm(gray),
         "ascii.ppm": b"P3\n# a comment\n2 1\n# another\n255\n0 255 0  9 9 9\n",
         "pixel.pgm": _pgm([[7]]), "row.pgm": _pgm([[0, 255] * 10]), "col.pgm": _pgm([[9]] * 20),
         "small.pgm": _pgm(np.arange(400).reshape(20, 20) % 256), "tiny.pgm": _pgm(np.eye(4) * 255),
         "maxval1.pgm": b"P2\n3 2\n1\n0 1 0\n1 0 1\n", "pixel.ppm": b"P6 1 1 255 \x00\xff\x00",
         "maxval1.ppm": b"P3 2 1 1 0 1 0 1 1 1",
         "truncated.pgm": curb[:len(curb) // 2], "header-flip.pgm": _flip(_pgm(gray), 3),
-        "raster-flip.pgm": _flip(_pgm(gray, ascii=True), 40),
+        "raster-flip.pgm": _flip(_ascii_pgm(gray), 40),
         "garbage": NOT_UTF8,
         "dosing.json": DOSING.encode(),
         "liters.json": DOSING.replace('"dose"', '"liters"').encode(),

@@ -76,3 +76,30 @@ def test_the_import_audit_sees_a_re_export(tmp_path):
                     "from .sizing import GRAVITY, MAX_STEPS  # noqa: F401\n\n"
                     "def f():\n    return math.pi * GRAVITY\n")
     assert unused_imports(shim) == [(3, "os"), (4, "MAX_STEPS")]
+
+
+ROOT = SRC.parents[1]
+# documented API that no caller in the package, perfbench or the acceptance tests uses
+UNCALLED_API = {"mlp_forward", "mlp_train_step"}
+
+
+def names_read(node) -> set:
+    """Every name and attribute read anywhere under an AST node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level def or class is read outside its own definition: by the
+    package, perfbench or the acceptance tests, not by the unit tests alone."""
+    callers = [ast.parse(p.read_text(), str(p)) for p in
+               sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]]
+    statements = [stmt for p in sorted(SRC.glob("*.py"))
+                  for stmt in ast.parse(p.read_text(), str(p)).body]
+    reads = [names_read(stmt) for stmt in statements + callers]
+    uncalled = [stmt.name for i, stmt in enumerate(statements)
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_")
+                and not any(stmt.name in r for j, r in enumerate(reads) if j != i)]
+    assert len(statements) > 100  # the walk saw the package
+    assert sorted(uncalled) == sorted(UNCALLED_API)

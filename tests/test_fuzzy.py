@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 from importlib import resources
 
 import numpy as np
@@ -20,7 +21,6 @@ from aerobot.fuzzy import (
     arm_compensation_deltas,
     arm_compensation_system,
     default_dosing_system,
-    fuzzify,
     infer,
     pesticide_dose,
     stabilizer_deltas,
@@ -110,13 +110,14 @@ def unit_variable():
 
 class TestFuzzify:
     def test_degrees(self):
-        degrees = fuzzify(unit_variable(), 0.25)
-        assert degrees["lo"] == pytest.approx(0.5)
-        assert degrees["hi"] == 0.0
+        sets = unit_variable().sets
+        assert sets["lo"](0.25) == pytest.approx(0.5)
+        assert sets["hi"](0.25) == 0.0
 
     def test_clamps_into_universe(self):
-        degrees = fuzzify(unit_variable(), -4.0)
-        assert degrees["lo"] == 1.0
+        var = unit_variable()
+        assert var.clamp(-4.0) == 0.0 and var.clamp(4.0) == 1.0
+        assert var.sets["lo"](var.clamp(-4.0)) == 1.0
 
     def test_variable_needs_two_labels(self):
         with pytest.raises(ValueError):
@@ -300,6 +301,14 @@ class TestPesticideDose:
         with pytest.raises(TypeError):
             var.sets[label] = MembershipFunction.triangle(0.0, 0.0, 0.0)
         assert built_in() is system and built_in().inputs[name].sets[label] is var.sets[label]
+
+    def test_shared_system_refuses_rebinding(self):
+        before = pesticide_dose(0.5)
+        system = default_dosing_system()
+        for name, value in (("rules", ()), ("samples", 51), ("inputs", {}), ("outputs", {})):
+            with pytest.raises(FrozenInstanceError):
+                setattr(system, name, value)
+        assert default_dosing_system() is system and pesticide_dose(0.5) == before
 
     def test_a_variable_keeps_its_own_copy_of_the_sets(self):
         sets = {"lo": MembershipFunction.triangle(0, 0, 1), "hi": MembershipFunction.triangle(0, 1, 1)}

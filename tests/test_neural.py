@@ -52,7 +52,7 @@ class TestActivations:
         assert float(Activation(RELU).deriv(0.0)) == 0.0
 
     def test_leaky_negative_slope(self):
-        a = Activation(LEAKY_RELU, alpha=0.01)
+        a = Activation(LEAKY_RELU)
         assert float(a(-3.0)) == pytest.approx(-0.03)
         assert float(a.deriv(-3.0)) == 0.01
 
@@ -75,12 +75,6 @@ class TestActivations:
             for x in xs:
                 fd = (float(a(x + eps)) - float(a(x - eps))) / (2 * eps)
                 assert float(a.deriv(x)) == pytest.approx(fd, abs=1e-8)
-
-    def test_alpha_bounds(self):
-        with pytest.raises(ValueError):
-            Activation(LEAKY_RELU, alpha=1.5)
-        with pytest.raises(ValueError):
-            Activation(LEAKY_RELU, alpha=0.0)
 
 
 class TestMlp:
@@ -226,19 +220,14 @@ class TestGradientCheck:
             pre.append(z)
             a = net.activation(z)
         assert min(abs(v) for z in pre for v in z) > 1e-3  # kink clearance
-        assert gradient_check(net, self.PROBE, self.TARGET, 1e-5) < bound
+        assert gradient_check(net, self.PROBE, self.TARGET) < bound
 
     def test_linear_single_neuron(self):
         # loss quadratic in the weight: analytic equals central difference
         net = mlp_init((1, 1, 1), Activation(RELU), 4)
         for w in net.weights:
             w[:] = 1.0
-        assert gradient_check(net, (2.0,), (0.5,), 1e-5) < 1e-9
-
-    def test_epsilon_bounds(self):
-        net = mlp_init((2, 3, 1), Activation(SIGMOID), 2)
-        with pytest.raises(ValueError):
-            gradient_check(net, self.PROBE, self.TARGET, 0.5)
+        assert gradient_check(net, (2.0,), (0.5,)) < 1e-9
 
 
 class TestDiagnose:

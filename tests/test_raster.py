@@ -18,6 +18,19 @@ def gray(arr) -> Image:
     return Image.from_array(np.asarray(arr, dtype=np.uint8))
 
 
+def ascii_pnm(img: Image, maxval: int = 255) -> bytes:
+    """P2/P3 text of img, one raster row per line."""
+    per_row = img.width * img.channels
+    rows = (" ".join(map(str, img.samples[i:i + per_row])) for i in range(0, len(img.samples), per_row))
+    magic = "P2" if img.channels == 1 else "P3"
+    return f"{magic}\n{img.width} {img.height}\n{maxval}\n".encode() + "\n".join(rows).encode() + b"\n"
+
+
+def rescale_oracle(values, maxval: int) -> bytes:
+    """Samples under maxval as 0..255 levels, rounded half up."""
+    return bytes((v * 255 + maxval // 2) // maxval for v in values)
+
+
 def _oracle_next_token(data, pos):
     n = len(data)
     while pos < n:
@@ -57,7 +70,7 @@ def parse_ascii_oracle(data: bytes) -> Image:
         if not 0 <= v <= maxval:
             raise TruncatedData(f"sample {v} outside 0..{maxval}")
         values.append(v)
-    return Image(width, height, channels, bytes(values))
+    return Image(width, height, channels, rescale_oracle(values, maxval))
 
 
 _WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
@@ -96,7 +109,7 @@ def parse_fromstring_oracle(data: bytes) -> Image:
         raise TruncatedData(f"raster has {len(values)} of {count} samples")
     if int(values.max()) > maxval:
         raise TruncatedData(f"sample {int(values.max())} outside 0..{maxval}")
-    return Image(width, height, channels, values.astype(np.uint8).tobytes())
+    return Image(width, height, channels, rescale_oracle(values.tolist(), maxval))
 
 
 def odd_token(rng, maxval: int) -> bytes:
@@ -199,7 +212,7 @@ class TestParse:
             parse_pnm(b"P6\n1 1\n200\n" + bytes([10, 201, 30]))
 
     def test_binary_sample_at_maxval(self):
-        assert list(parse_pnm(b"P5\n2 1\n15\n\x00\x0f").samples) == [0, 15]
+        assert list(parse_pnm(b"P5\n2 1\n15\n\x00\x0f").samples) == [0, 255]
 
     @pytest.mark.parametrize("data", [
         b"P5\n+2 1\n255\n..",
@@ -262,7 +275,7 @@ class TestAsciiDecoder:
         assert list(parse_pnm(b"P2\n2 1\n255\n007 0255\n").samples) == [7, 255]
 
     def test_data_after_last_sample_ignored(self):
-        assert list(parse_pnm(b"P2\n2 1\n9\n1 2 3 400 5\n\n").samples) == [1, 2]
+        assert parse_pnm(b"P2\n2 1\n9\n1 2 3 400 5\n\n").samples == rescale_oracle([1, 2], 9)
 
     def test_every_isspace_byte_separates(self):
         img = parse_pnm(b"P2\n6 1\n255\n1 2\t3\r4\x0b5\x0c6")
@@ -283,7 +296,7 @@ class TestAsciiDecoder:
         # int64 end, a uint16 value and one byte of slack
         rng = np.random.default_rng(8)
         img = Image.from_array(rng.integers(0, 256, size=(192, 192, 3), dtype=np.uint8))
-        data = write_pnm(img, ascii=True)
+        data = ascii_pnm(img)
         tracemalloc.start()
         try:
             assert parse_pnm(data) == img
@@ -312,7 +325,8 @@ class TestAsciiDecoder:
             shape = (h, w) if channels == 1 else (h, w, 3)
             img = Image.from_array(rng.integers(0, maxval + 1, size=shape, dtype=np.uint8))
             data = scrambled_ascii(rng, img, maxval)
-            assert parse_pnm(data) == parse_ascii_oracle(data) == img
+            want = Image(img.width, img.height, channels, rescale_oracle(img.samples, maxval))
+            assert parse_pnm(data) == parse_ascii_oracle(data) == want
 
     def test_matches_fromstring_oracle_on_scrambled_files(self):
         rng = np.random.default_rng(7)
@@ -390,11 +404,25 @@ class TestRoundTrip:
             shape = (h, w) if channels == 1 else (h, w, 3)
             img = Image.from_array(rng.integers(0, 256, size=shape, dtype=np.uint8))
             assert parse_pnm(write_pnm(img)) == img
-            assert parse_pnm(write_pnm(img, ascii=True)) == img
+            assert parse_pnm(ascii_pnm(img)) == img
 
-    def test_ascii_gray_magic(self):
-        data = write_pnm(gray([[1, 2], [3, 4]]), ascii=True)
-        assert data.startswith(b"P2")
+    def test_binary_magic_per_channel_count(self):
+        assert write_pnm(gray([[1, 2], [3, 4]])).startswith(b"P5\n2 2\n255\n")
+        assert write_pnm(Image(1, 1, 3, bytes(3))).startswith(b"P6\n1 1\n255\n")
+
+    @pytest.mark.parametrize("maxval", [1, 15])
+    def test_low_maxval_is_rescaled_and_round_trips(self, maxval):
+        levels = list(range(maxval + 1))
+        img = Image(len(levels), 1, 1, bytes(levels))
+        want = Image(img.width, 1, 1, rescale_oracle(levels, maxval))
+        binary = b"P5\n%d 1\n%d\n" % (img.width, maxval) + img.samples
+        for data in (binary, ascii_pnm(img, maxval)):
+            got = parse_pnm(data)
+            assert got == want
+            assert got.samples[0] == 0 and got.samples[-1] == 255
+            # the rescale keeps every level and loses none: scaling back recovers it
+            assert [(s * maxval + 127) // 255 for s in got.samples] == levels
+            assert parse_pnm(write_pnm(got)) == got
 
 
 def luma_oracle(rgb: np.ndarray) -> np.ndarray:

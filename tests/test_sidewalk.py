@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from aerobot import sidewalk
-from aerobot.errors import BadThresholds, ConfigInvalid, NoStripFound
+from aerobot.errors import ConfigInvalid, NoStripFound
 from aerobot.raster import Image, to_grayscale, write_pnm
 from aerobot.sidewalk import (
+    BRIGHT_MIN,
+    DARK_MAX,
     FUNDAMENTAL_PATTERNS,
     INTACT,
     PAINT,
     UNRESOLVED,
     InspectConfig,
+    MIN_RESPONSE,
     InspectionReport,
     SidewalkParams,
     classify_segment,
@@ -37,15 +40,13 @@ class SegmentPattern:
             raise ValueError("a segment holds exactly three blocks")
 
 
-def encode_ternary_oracle(segment, bright_min, dark_max):
+def encode_ternary_oracle(segment):
     """The per-mean branch ladder that encoded one segment at a time."""
-    if not 0.0 <= dark_max < bright_min <= 1.0:
-        raise BadThresholds(f"dark_max {dark_max}, bright_min {bright_min}")
     out = []
     for mean in segment.means:
-        if mean >= bright_min:
+        if mean >= BRIGHT_MIN:
             out.append(1)
-        elif mean <= dark_max:
+        elif mean <= DARK_MAX:
             out.append(-1)
         else:
             out.append(0)
@@ -62,7 +63,7 @@ def inspect_oracle(img, config=InspectConfig()):
     row_strength = np.abs(response.values).sum(axis=1)
     window = np.convolve(row_strength, np.ones(length), mode="valid")
     top = int(np.argmax(window))
-    if window[top] / (length * gray.width) < config.min_response:
+    if window[top] / (length * gray.width) < MIN_RESPONSE:
         raise NoStripFound(f"best band response {window[top]:.3g} under the floor")
     band = gray.to_array().astype(np.float64)[top:top + length]
     xs, means = [], []
@@ -71,13 +72,11 @@ def inspect_oracle(img, config=InspectConfig()):
         xs.append(x0)
         means.append(float(band[:, x0:x0 + length].mean() / 255.0))
 
-    net = sidewalk_memory()
     decisions = []
     flagged = set()
     for start in range(len(means) - 2):
         segment = SegmentPattern(start, tuple(means[start:start + 3]))
-        encoded = encode_ternary_oracle(segment, config.bright_min, config.dark_max)
-        decision = classify_segment(encoded, net, start=start, max_iter=config.max_iter)
+        decision = classify_segment(encode_ternary_oracle(segment), start=start)
         decisions.append(decision)
         flagged.update(decision.paint_blocks)
 
@@ -103,9 +102,8 @@ def fill_block(arr, top, x0, length, total):
 
 def planted_frames(n_frames, seed=0):
     """Seeded curb frames with block lengths 1-11, 1-13 blocks and often a
-    partial block on the right. Under the default thresholds one block sits on, or one
-    sample beside, bright_min and one on or beside dark_max; the second config
-    moves both thresholds onto (or one sample beside) block means of the frame.
+    partial block on the right. One block sits on, or one sample beside,
+    BRIGHT_MIN and one on or beside DARK_MAX.
     """
     rng = np.random.default_rng(seed)
     for _ in range(n_frames):
@@ -125,13 +123,6 @@ def planted_frames(n_frames, seed=0):
             fill_block(arr, top, int(j) * length, length, total)
         img = Image.from_array(arr.astype(np.uint8))
         yield img, InspectConfig(block_length=length)
-
-        sums = sorted(int(arr[top:top + length, j * length:(j + 1) * length].sum())
-                      for j in range(n))
-        bright = (sums[int(rng.integers(n // 2, n))] + int(rng.integers(-1, 2))) / area / 255.0
-        dark = (sums[int(rng.integers(0, n // 2 + 1))] + int(rng.integers(-1, 2))) / area / 255.0
-        if 0.0 <= dark < bright <= 1.0:
-            yield img, InspectConfig(block_length=length, bright_min=bright, dark_max=dark)
 
 
 class TestGenerator:
@@ -198,7 +189,7 @@ class TestExtractStrip:
 
 class TestEncodeTernary:
     def test_reference_segment(self):
-        assert encode_ternary((0.5, 0.1, 0.9), 0.7, 0.3).tolist() == [0, -1, 1]
+        assert encode_ternary((0.5, 0.1, 0.9)).tolist() == [0, -1, 1]
 
     def test_all_decisive(self):
         assert encode_ternary((0.9, 0.1, 0.9)).tolist() == [1, -1, 1]
@@ -213,13 +204,6 @@ class TestEncodeTernary:
         assert encode_ternary(()).tolist() == []
         assert encode_ternary((0.0, 1.0, 0.31, 0.69, 0.7)).tolist() == [-1, 1, 0, 0, 1]
 
-    def test_bad_thresholds(self):
-        means = (0.5, 0.5, 0.5)
-        with pytest.raises(BadThresholds):
-            encode_ternary(means, bright_min=0.3, dark_max=0.7)
-        with pytest.raises(BadThresholds):
-            encode_ternary(means, bright_min=1.2, dark_max=0.3)
-
 
 class TestClassifySegment:
     def test_memory_is_trained_once_and_read_only(self):
@@ -227,33 +211,32 @@ class TestClassifySegment:
         assert sidewalk_memory() is net
         with pytest.raises(ValueError, match="read-only"):
             net.weights[0, 1] = 1.0
-        assert classify_segment(FUNDAMENTAL_PATTERNS[0], sidewalk_memory()).verdict == INTACT
+        assert classify_segment(FUNDAMENTAL_PATTERNS[0]).verdict == INTACT
 
     def test_stored_vertex_intact(self):
-        net = sidewalk_memory()
         for vertex in FUNDAMENTAL_PATTERNS:
-            decision = classify_segment(vertex, net)
+            decision = classify_segment(vertex)
             assert decision.verdict == INTACT
             assert decision.paint_blocks == ()
 
     def test_vague_block_painted(self):
-        decision = classify_segment((0, -1, 1), sidewalk_memory())
+        decision = classify_segment((0, -1, 1))
         assert decision.verdict == PAINT
         assert decision.vertex == (1, -1, 1)
         assert decision.paint_blocks == (0,)
 
     def test_start_offsets_paint_indices(self):
-        decision = classify_segment((0, -1, 1), sidewalk_memory(), start=5)
+        decision = classify_segment((0, -1, 1), start=5)
         assert decision.paint_blocks == (5,)
 
     def test_all_vague_unresolved(self):
-        decision = classify_segment((0, 0, 0), sidewalk_memory())
+        decision = classify_segment((0, 0, 0))
         assert decision.verdict == UNRESOLVED
         assert decision.vertex is None
         assert decision.paint_blocks == ()
 
     def test_wrong_polarity_painted(self):
-        decision = classify_segment((1, 1, 1), sidewalk_memory())
+        decision = classify_segment((1, 1, 1))
         assert decision.verdict == PAINT
         assert decision.vertex == (1, -1, 1)
         assert decision.paint_blocks == (1,)
@@ -340,21 +323,7 @@ class TestInspect:
         assert report.n_blocks == 10
         assert report.flagged_blocks == ()
 
-    @pytest.mark.parametrize("bright_min, dark_max", [
-        (0.3, 0.7), (0.5, 0.5), (1.2, 0.3), (0.7, -0.1), (0.7, float("nan"))])
-    def test_bad_thresholds_rejected_when_built(self, bright_min, dark_max):
-        with pytest.raises(BadThresholds):
-            InspectConfig(bright_min=bright_min, dark_max=dark_max)
-
-    def test_inverted_thresholds_not_silent_on_a_short_strip(self):
-        # two blocks make no three-block segment, so no segment is classified
-        params = SidewalkParams(n_blocks=2, block_length=8, image_height=32, band_top=12)
-        report, _ = inspect(generate_sidewalk(params))
-        assert report.n_blocks == 2 and report.decisions == ()
-        with pytest.raises(BadThresholds):
-            inspect(generate_sidewalk(params), InspectConfig(bright_min=0.3, dark_max=0.7))
-
-    @pytest.mark.parametrize("field", ["block_length", "max_iter"])
+    @pytest.mark.parametrize("field", ["block_length"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_non_positive_counts_rejected_when_built(self, field, value):
         with pytest.raises(ConfigInvalid, match=f"{field} {value}"):
@@ -364,12 +333,16 @@ class TestInspect:
         report, _ = inspect(generate_sidewalk(SidewalkParams()))
         starts = [d.start for d in report.decisions]
         assert starts == list(range(10))
+        # two blocks make no three-block segment, so no segment is classified
+        params = SidewalkParams(n_blocks=2, block_length=8, image_height=32, band_top=12)
+        report, _ = inspect(generate_sidewalk(params))
+        assert report.n_blocks == 2 and report.decisions == ()
 
 
 class TestInspectOracle:
     def test_matches_block_loop_on_planted_frames(self):
         cases = flagged = short = on_threshold = beside_threshold = 0
-        for img, config in planted_frames(300):
+        for img, config in planted_frames(600):
             want_report, want_overlay, means = inspect_oracle(img, config)
             report, overlay = inspect(img, config)
             assert report.to_dict() == want_report.to_dict()
@@ -380,7 +353,7 @@ class TestInspectOracle:
             area = config.block_length ** 2
             for mean in means:
                 total = round(mean * 255 * area)
-                for threshold in (config.bright_min, config.dark_max):
+                for threshold in (BRIGHT_MIN, DARK_MAX):
                     on_threshold += mean == threshold
                     beside_threshold += threshold in ((total - 1) / area / 255.0,
                                                       (total + 1) / area / 255.0)

@@ -356,13 +356,6 @@ class TestWaveletResponse:
         with pytest.raises(NotGrayscale):
             wavelet_response(Image(1, 1, 3, bytes(3)), 1.0)
 
-    def test_pgm_export_scales(self):
-        resp = wavelet_response(gray(np.eye(8) * 255), 1.0)
-        img = resp.to_pgm_image()
-        assert img.channels == 1
-        assert max(img.samples) == 255
-        assert min(img.samples) == 0
-
 
 # Hough ----------------------------------------------------------------------
 
@@ -536,16 +529,27 @@ class TestHoughLines:
         assert peak < bound * table
 
     @pytest.mark.parametrize("theta_step", [1.0, 45.0])
-    def test_threshold_zero_lists_every_cell(self, theta_step):
+    def test_threshold_one_lists_every_voted_cell(self, theta_step):
         edges = line_mask(7, 17, 23)
-        got = hough_lines(edges, theta_step, threshold=0)
-        assert len(got) == (2 * math.ceil(math.hypot(22, 16)) + 1) * round(180 / theta_step)
-        assert got == hough_lines_oracle(edges, theta_step, 0)
+        got = hough_lines(edges, theta_step, threshold=1)
+        # every edge pixel votes once per angle, and each of those votes is listed
+        pixels = np.count_nonzero(edges.to_array())
+        assert sum(hit.votes for hit in got) == pixels * round(180 / theta_step)
+        assert got == hough_lines_oracle(edges, theta_step, 1)
+
+    def test_threshold_below_one_is_refused(self):
+        # below 1 vote every accumulator cell would be a hit, also on a blank image
+        for edges in (line_mask(7, 17, 23), gray(np.zeros((4, 4)))):
+            for threshold in (0, -1, math.nan):
+                with pytest.raises(OutOfRange, match="at least 1"):
+                    hough_lines(edges, 1.0, threshold)
+                with pytest.raises(OutOfRange, match="at least 1"):
+                    hough_circles(edges, 1, 5, threshold)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1)])
     def test_one_row_or_column_matches_oracle(self, shape):
         edges = sparse_strip(shape)
-        for threshold in (0, 1, 3):
+        for threshold in (1, 3):
             assert hough_lines(edges, 1.0, threshold) == hough_lines_oracle(edges, 1.0, threshold)
 
     @settings(max_examples=100)
@@ -555,7 +559,7 @@ class TestHoughLines:
         edges = gray(mask * 255)
         hits = hough_lines(edges, theta_step, 1)
         most = hits[0].votes if hits else 0
-        threshold = data.draw(st.integers(0, most + 1), label="threshold")
+        threshold = data.draw(st.integers(1, most + 1), label="threshold")
         got = hough_lines(edges, theta_step, threshold)
         assert got == hough_lines_oracle(edges, theta_step, threshold)
 
@@ -672,19 +676,17 @@ class TestHoughCircles:
         edges = gray(np.full((3, 5), 255))
         # the 360 offsets per radius outweigh the 7x13 padded plane
         monkeypatch.setattr(vision, "_VOTE_CHUNK", 2 * 360)
-        assert hough_circles(edges, 1, 12) == hough_circles_oracle(edges, 1, 12)
-        # at threshold 0 every cell of a radius that reaches some center counts,
-        # and no radius beyond the last such one is listed
-        reach = max(hit.radius for hit in hough_circles_oracle(edges, 1, 12))
-        assert hough_circles(edges, 1, 12, threshold=0) == [
-            hit for hit in hough_circles_oracle(edges, 1, 12, threshold=0) if hit.radius <= reach]
+        got = hough_circles(edges, 1, 12, threshold=1)
+        assert got == hough_circles_oracle(edges, 1, 12, threshold=1)
+        # radii past the last one with an offset inside the image get no vote
+        assert max(hit.radius for hit in got) < 12
 
     @pytest.mark.parametrize("r_min, r_max", [(8, 12), (2**63, 2**63), (2**63, 2**64)])
     def test_radii_past_width_plus_height_find_nothing(self, r_min, r_max):
         # radii of 2**63 and up once overflowed the int64 offsets; none of w + h or
         # more reaches a center cell, so the search stops there
         edges = gray(np.full((3, 5), 255))
-        assert hough_circles(edges, r_min, r_max, threshold=0) == []
+        assert hough_circles(edges, r_min, r_max, threshold=1) == []
         assert hough_circles_oracle(edges, 8, 12) == []  # no vote lands past w + h = 8
 
     @pytest.mark.parametrize("seed", range(4))
