@@ -333,6 +333,10 @@ class TestInspect:
         report, _ = inspect(generate_sidewalk(SidewalkParams()))
         starts = [d.start for d in report.decisions]
         assert starts == list(range(10))
+
+    def test_inverted_thresholds_not_silent_on_a_short_strip(self):
+        # the fixed thresholds leave a vague band between them, so they are never inverted
+        assert 0.0 <= DARK_MAX < BRIGHT_MIN <= 1.0
         # two blocks make no three-block segment, so no segment is classified
         params = SidewalkParams(n_blocks=2, block_length=8, image_height=32, band_top=12)
         report, _ = inspect(generate_sidewalk(params))
