@@ -64,10 +64,6 @@ class BadRadiusRange(AerobotError):
     """Circle search requires 0 < r_min <= r_max."""
 
 
-class EmptyBank(AerobotError):
-    """Filter bank needs at least one parameter set."""
-
-
 class ZeroVariance(AerobotError):
     """All input vectors are identical; covariance is identically zero."""
 
@@ -90,16 +86,12 @@ class NonBipolarPattern(AerobotError):
     """Pattern entries must all be -1 or +1 (a recall probe may also hold 0)."""
 
 
-class LengthMismatch(AerobotError):
-    """Pattern length does not match the network size."""
-
-
 class NonConvergent(AerobotError):
     """Recall found no zero-free fixed point within the sweep budget."""
 
 
 class EmptyDataset(AerobotError):
-    """An input holds no samples: a dataset, histogram or Hopfield pattern list."""
+    """An input holds no samples: a dataset, histogram, Hopfield pattern list or filter bank."""
 
 
 # sidewalk ---------------------------------------------------------------

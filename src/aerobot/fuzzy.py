@@ -349,11 +349,9 @@ def tilt_compensation_deltas(roll: float, pitch: float) -> np.ndarray:
     """Zero-sum deltas (8,) boosting the rotors whose lift opposes the tilt."""
     if not (math.isfinite(roll) and math.isfinite(pitch)):
         raise OutOfRange(f"tilt ({roll}, {pitch}) is not finite")
-    magnitude = math.hypot(roll, pitch)
-    if magnitude == 0.0:
-        return np.zeros(N_ROTORS)
     correction = math.degrees(math.atan2(-roll, pitch)) % 360.0
-    return _ring_deltas(tilt_compensation_system(), np.array([correction]), "tilt", magnitude)[0]
+    return _ring_deltas(tilt_compensation_system(), np.array([correction]), "tilt",
+                        math.hypot(roll, pitch))[0]
 
 
 def stabilizer_deltas(arm_azimuth_deg: float, arm_extension: float,
@@ -365,8 +363,5 @@ def stabilizer_deltas(arm_azimuth_deg: float, arm_extension: float,
     correction is built the same way around the azimuth whose boost produces
     a torque opposing (roll, pitch).
     """
-    deltas = arm_compensation_deltas([arm_azimuth_deg], [arm_extension])[0]
-    roll, pitch = float(tilt_error[0]), float(tilt_error[1])
-    if roll != 0.0 or pitch != 0.0:
-        deltas = deltas + tilt_compensation_deltas(roll, pitch)
-    return deltas
+    return (arm_compensation_deltas([arm_azimuth_deg], [arm_extension])[0]
+            + tilt_compensation_deltas(float(tilt_error[0]), float(tilt_error[1])))

@@ -17,7 +17,6 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     EmptyDataset,
-    LengthMismatch,
     NonBipolarPattern,
     NonConvergent,
     OutOfRange,
@@ -241,7 +240,7 @@ class HopfieldNet:
 def _check_bipolar(pattern, n: int) -> np.ndarray:
     p = np.asarray(pattern, dtype=np.float64)
     if p.shape != (n,):
-        raise LengthMismatch(f"pattern length {p.shape}, expected {n}")
+        raise DimensionMismatch(f"pattern length {p.shape}, expected {n}")
     if not np.all(np.isin(p, (-1.0, 1.0))):
         raise NonBipolarPattern(f"entries must be -1 or +1, got {list(p)}")
     return p
@@ -269,7 +268,7 @@ def hopfield_recall(net: HopfieldNet, pattern, max_iter: int = 10) -> tuple[np.n
     """
     state = np.asarray(pattern, dtype=np.float64)
     if state.shape != (net.n,):
-        raise LengthMismatch(f"input length {state.shape}, expected {net.n}")
+        raise DimensionMismatch(f"input length {state.shape}, expected {net.n}")
     if not np.all(np.isin(state, (-1.0, 0.0, 1.0))):
         raise NonBipolarPattern(f"entries must be -1, 0, or +1, got {list(state)}")
     if max_iter < 1:

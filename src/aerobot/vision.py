@@ -20,7 +20,6 @@ from .errors import (
     ConfigInvalid,
     DegenerateHistogram,
     DimensionMismatch,
-    EmptyBank,
     EmptyDataset,
     NonPositiveSigma,
     NotGrayscale,
@@ -77,9 +76,9 @@ class GaborParams:
             raise ConfigInvalid("wavelength, sigma, and aspect must be positive")
 
 
-def default_gabor_bank(wavelength: float = 8.0, sigma: float = 4.0) -> list[GaborParams]:
-    """Four-orientation bank (0, 45, 90, 135 degrees) at one scale."""
-    return [GaborParams(wavelength, i * math.pi / 4, sigma) for i in range(4)]
+def default_gabor_bank() -> list[GaborParams]:
+    """Four-orientation bank (0, 45, 90, 135 degrees), wavelength 8 px, sigma 4 px."""
+    return [GaborParams(8.0, i * math.pi / 4, 4.0) for i in range(4)]
 
 
 # Otsu --------------------------------------------------------------------
@@ -173,30 +172,17 @@ def _kernel_spectrum(kernels: np.ndarray, image_shape: tuple) -> np.ndarray:
     return np.fft.rfft2(kernels, s=(image_shape[0] + kh - 1, image_shape[1] + kw - 1))
 
 
-def _read_only(*arrays: np.ndarray) -> tuple:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@lru_cache(maxsize=32)
-def _symmetric_index(n: int, r: int) -> np.ndarray:
-    """Read-only source indices of `np.pad(mode="symmetric")` for an axis of n
-    padded by r a side; the reflection has period 2n, so r > n reflects again."""
-    i = np.arange(-r, n + r) % (2 * n)
-    return _read_only(np.minimum(i, 2 * n - 1 - i))[0]
-
-
 def _reflect_convolve(arr: np.ndarray, kernel_shape: tuple, spectrum: np.ndarray) -> np.ndarray:
     """2-D convolution with edge-repeating reflect padding, by FFT.
 
     spectrum is `_kernel_spectrum` of kernels shaped kernel_shape for an
-    image shaped like arr; the image is padded and transformed once for the
-    whole stack. The inverse runs along the columns first, so the row pass
-    transforms only the h rows that are kept.
+    image shaped like arr; the image, uint8 pixels or float64, is padded by
+    `np.pad(mode="symmetric")` and transformed once for the whole stack
+    (rfft2 reads uint8 as float64 exactly). The inverse runs along the
+    columns first, so the row pass transforms only the h rows that are kept.
     """
     kh, kw = kernel_shape
-    padded = arr[np.ix_(*map(_symmetric_index, arr.shape, (kh // 2, kw // 2)))]
+    padded = np.pad(arr, ((kh // 2,) * 2, (kw // 2,) * 2), mode="symmetric")
     products = spectrum * np.fft.rfft2(padded)
     rows = np.fft.ifft(products, axis=-2, out=products)[..., kh - 1:, :]
     return np.fft.irfft(rows, n=arr.shape[1] + kw - 1, axis=-1)[..., kw - 1:]
@@ -207,20 +193,12 @@ def wavelet_response(img: Image, sigma: float) -> ResponseMap:
     if img.channels != 1:
         raise NotGrayscale("wavelet response requires a gray image")
     kernel = mexican_hat_kernel(sigma)
-    arr = img.to_array().astype(np.float64)
+    arr = img.to_array()
     values = _reflect_convolve(arr, kernel.shape, _kernel_spectrum(kernel, arr.shape))
     return ResponseMap(values)
 
 
 # Hough voting ---------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _line_angles(n_theta: int, theta_step: float) -> tuple:
-    """Read-only theta (degrees), cos(theta) and sin(theta) of the line accumulator."""
-    thetas = np.arange(n_theta) * theta_step
-    rad = np.deg2rad(thetas)
-    return _read_only(thetas, np.cos(rad), np.sin(rad))
-
 
 def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> list[LineHit]:
     """Line hits from a binary edge image (edge pixels are 255).
@@ -242,13 +220,14 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     if len(xs) == 0:
         return []
     n_theta = int(round(n_theta))
-    thetas, cos_t, sin_t = _line_angles(n_theta, theta_step)
+    thetas = np.arange(n_theta) * theta_step
+    rad = np.deg2rad(thetas)
     diag = int(math.ceil(math.hypot(edges.width - 1, edges.height - 1)))
     n_rho = 2 * diag + 1
     # theta-major tables; the sin product sits in the cell table until rint
-    exact = np.multiply.outer(cos_t, xs)
+    exact = np.multiply.outer(np.cos(rad), xs)
     cell = np.empty(exact.shape, np.int64)
-    exact += np.multiply.outer(sin_t, ys, out=cell.view(np.float64))
+    exact += np.multiply.outer(np.sin(rad), ys, out=cell.view(np.float64))
     np.rint(exact, out=cell, casting="unsafe")
     exact -= cell  # residual to the bin center
     cell += (np.arange(n_theta) * n_rho + diag)[:, None]  # cell t * n_rho + rho + diag
@@ -292,7 +271,9 @@ def _circle_offsets(lo: int, hi: int, py: int, px: int, gw: int, plane: int):
     shifts = np.sort(dy[keep])
     # a pixel reaches each center cell through exactly one offset, so one
     # vote per distinct offset is one vote per pixel per cell
-    return n, _read_only(shifts[np.diff(shifts, prepend=shifts[:1] - 1) != 0])[0]
+    shifts = shifts[np.diff(shifts, prepend=shifts[:1] - 1) != 0]
+    shifts.flags.writeable = False
+    return n, shifts
 
 
 def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1) -> list[CircleHit]:
@@ -383,7 +364,9 @@ def _gabor_spectra(params: tuple, image_shape: tuple) -> tuple:
     kernels = [gabor_kernel(p) for p in params]
     side = max(len(k) for k in kernels)
     stack = np.stack([np.pad(k, (side - len(k)) // 2) for k in kernels])
-    return stack.shape[1:], _read_only(_kernel_spectrum(stack, image_shape))[0]
+    spectrum = _kernel_spectrum(stack, image_shape)
+    spectrum.flags.writeable = False
+    return stack.shape[1:], spectrum
 
 
 def gabor_bank(img: Image, params: list[GaborParams]) -> list[ResponseMap]:
@@ -391,8 +374,8 @@ def gabor_bank(img: Image, params: list[GaborParams]) -> list[ResponseMap]:
     if img.channels != 1:
         raise NotGrayscale("gabor bank requires a gray image")
     if not params:
-        raise EmptyBank("bank has no parameter sets")
-    arr = img.to_array().astype(np.float64)
+        raise EmptyDataset("bank has no parameter sets")
+    arr = img.to_array()
     values = _reflect_convolve(arr, *_gabor_spectra(tuple(params), arr.shape))
     return [ResponseMap(v) for v in values]
 

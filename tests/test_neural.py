@@ -10,7 +10,6 @@ from aerobot.errors import (
     BadTopology,
     DimensionMismatch,
     EmptyDataset,
-    LengthMismatch,
     NonBipolarPattern,
     NonConvergent,
 )
@@ -426,7 +425,7 @@ class TestHopfieldTrain:
             hopfield_train([(1, 0, -1)], 3)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch):
             hopfield_train([(1, -1)], 3)
 
     def test_stored_patterns_are_fixed_points(self):
@@ -529,7 +528,7 @@ class TestHopfieldRecall:
             hopfield_recall(two_vertex_net(), (2, 0, 0))
 
     def test_rejects_length(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch):
             hopfield_recall(two_vertex_net(), (1, -1))
 
 

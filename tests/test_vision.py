@@ -16,7 +16,7 @@ from aerobot import vision
 from aerobot.errors import (
     BadRadiusRange,
     DegenerateHistogram,
-    EmptyBank,
+    EmptyDataset,
     NegativeRadiance,
     NonPositiveSigma,
     NotGrayscale,
@@ -323,6 +323,19 @@ class TestWaveletResponse:
         got = wavelet_response(gray(arr), sigma).values
         assert got.shape == shape
         assert np.abs(got - einsum_convolve(arr.astype(np.float64), kernel)).max() < 1e-9
+
+    @settings(max_examples=100)
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24))),
+           st.floats(0.2, 5.0))
+    def test_uint8_pixels_match_direct_and_float_paths(self, arr, sigma):
+        # a radius up to 20 pads past a side of 1..24, so the pad reflects more than once
+        kernel = mexican_hat_kernel(sigma)
+        got = wavelet_response(gray(arr), sigma).values
+        direct = einsum_convolve(arr.astype(np.float64), kernel)
+        assert np.abs(got - direct).max() <= 1e-9 * np.abs(kernel).sum() * 255
+        float_path = pad_reflect_convolve(arr.astype(np.float64), kernel.shape,
+                                          vision._kernel_spectrum(kernel, arr.shape))
+        assert np.array_equal(got, float_path)
 
     def test_constant_image_is_zero(self):
         resp = wavelet_response(gray(np.full((9, 9), 200)), 1.5)
@@ -748,7 +761,7 @@ class TestHoughCircles:
 # Shape-keyed tables ----------------------------------------------------------
 
 def pad_reflect_convolve(arr, kernel_shape, spectrum):
-    """The earlier `_reflect_convolve`, padding with np.pad(mode="symmetric")."""
+    """Reflect-padded FFT convolution of a float64 image, the reference for the uint8 input."""
     kh, kw = kernel_shape
     ry, rx = kh // 2, kw // 2
     products = spectrum * np.fft.rfft2(np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric"))
@@ -768,20 +781,11 @@ def aerobot_caches() -> dict:
 
 
 class TestShapeKeyedTables:
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_symmetric_index_matches_np_pad(self, n):
-        axis = np.arange(n)
-        for r in range(26):  # r > n reflects more than once
-            assert np.array_equal(vision._symmetric_index(n, r),
-                                  np.pad(axis, r, mode="symmetric"))
-
     def test_memoized_arrays_are_read_only(self):
-        arrays = [vision._symmetric_index(7, 12), *vision._line_angles(180, 1.0),
-                  vision._circle_offsets(2, 10, 9, 9, 35, 39 * 35)[1]]
-        for arr in arrays:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = arr[0]
+        shifts = vision._circle_offsets(2, 10, 9, 9, 35, 39 * 35)[1]
+        assert not shifts.flags.writeable
+        with pytest.raises(ValueError):
+            shifts[0] = shifts[0]
 
     def test_every_cache_is_bounded(self):
         caches = aerobot_caches()
@@ -814,8 +818,6 @@ class TestShapeKeyedTables:
             assert np.array_equal(vision._reflect_convolve(arr, kernel.shape, spectrum),
                                   pad_reflect_convolve(arr, kernel.shape, spectrum))
         assert vision._circle_offsets.cache_info().hits >= 1
-        assert vision._line_angles.cache_info().hits >= 1
-        assert vision._symmetric_index.cache_info().hits >= 2
 
 
 # Gabor + PCA -----------------------------------------------------------------
@@ -841,7 +843,7 @@ def gabor_bank_oracle(img, params):
 
 class TestGabor:
     def test_matching_orientation_wins(self):
-        bank = default_gabor_bank(wavelength=8.0, sigma=4.0)
+        bank = default_gabor_bank()
         for idx, theta in enumerate(p.orientation for p in bank):
             img = gray(make_grating(48, 8.0, theta))
             maps = gabor_bank(img, bank)
@@ -854,7 +856,7 @@ class TestGabor:
         assert max(float(np.abs(m.values).max()) for m in maps) < 1e-8
 
     def test_rot90_permutes_winner(self):
-        bank = default_gabor_bank(wavelength=8.0, sigma=4.0)
+        bank = default_gabor_bank()
         base = make_grating(48, 8.0, 0.0)
         img_scores = [float(np.abs(m.values).mean()) for m in gabor_bank(gray(base), bank)]
         rot_scores = [float(np.abs(m.values).mean())
@@ -928,7 +930,8 @@ class TestGabor:
     def test_one_size_banks_match_the_per_size_oracle_bit_for_bit(self, shape):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         img = gray(rng.integers(0, 256, size=shape, dtype=np.uint8))
-        for bank in (default_gabor_bank(), default_gabor_bank(6.0, 2.5)):
+        narrow = [GaborParams(6.0, i * math.pi / 4, 2.5) for i in range(4)]
+        for bank in (default_gabor_bank(), narrow):
             maps = gabor_bank(img, bank)
             for m, expected in zip(maps, gabor_bank_oracle(img, bank), strict=True):
                 assert np.array_equal(m.values, expected)
@@ -944,7 +947,7 @@ class TestGabor:
             assert np.abs(m.values - expected).max() < 1e-9
 
     def test_empty_bank(self):
-        with pytest.raises(EmptyBank):
+        with pytest.raises(EmptyDataset):
             gabor_bank(gray(np.zeros((4, 4))), [])
 
     def test_bad_params(self):
