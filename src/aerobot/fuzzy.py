@@ -30,34 +30,28 @@ ROTOR_AZIMUTHS_DEG = tuple(45.0 * i for i in range(N_ROTORS))
 
 @dataclass(frozen=True)
 class MembershipFunction:
-    """Triangular (3 points) or trapezoidal (4 points) membership."""
+    """Trapezoidal membership on breakpoints (a, b, c, d); a triangle has b == c."""
 
     points: tuple
 
     def __post_init__(self):
-        if len(self.points) not in (3, 4):
-            raise ConfigInvalid(f"need 3 or 4 breakpoints, got {len(self.points)}")
+        if len(self.points) != 4:
+            raise ConfigInvalid(f"need 4 breakpoints, got {len(self.points)}")
         if (not all(map(math.isfinite, self.points))
                 or any(b < a for a, b in zip(self.points, self.points[1:]))):
             raise ConfigInvalid(f"breakpoints must be finite and non-decreasing: {self.points}")
 
     @classmethod
     def triangle(cls, a: float, b: float, c: float) -> "MembershipFunction":
-        return cls((float(a), float(b), float(c)))
+        return cls((float(a), float(b), float(b), float(c)))
 
     @classmethod
     def trapezoid(cls, a: float, b: float, c: float, d: float) -> "MembershipFunction":
         return cls((float(a), float(b), float(c), float(d)))
 
-    def _abcd(self):
-        if len(self.points) == 3:
-            a, b, c = self.points
-            return a, b, b, c
-        return self.points
-
     def __call__(self, x):
         """Degree of x: a float for a Python or numpy number, else an array."""
-        a, b, c, d = self._abcd()
+        a, b, c, d = self.points
         if isinstance(x, (int, float)):
             if b <= x <= c:
                 return 1.0
@@ -134,7 +128,7 @@ class FuzzySystem:
             if var not in self.outputs or label not in self.outputs[var].sets:
                 raise ConfigInvalid(f"unknown consequent {var}.{label}")
         object.__setattr__(self, "_stacks", {name: (tuple(var.sets),) + _curve_stack(
-            tuple(var.universe), tuple(tuple(mf._abcd()) for mf in var.sets.values()), self.samples)
+            tuple(var.universe), tuple(tuple(mf.points) for mf in var.sets.values()), self.samples)
             for name, var in self.outputs.items()})
 
 
@@ -201,7 +195,8 @@ def _var_from_doc(doc: dict) -> FuzzyVariable:
         expected = {"triangle": 3, "trapezoid": 4}.get(mf_doc.get("shape"))
         if expected is None or len(points) != expected:
             raise ParseError(f"set {label!r} has bad shape/points")
-        sets[label] = MembershipFunction(points)
+        sets[label] = (MembershipFunction.triangle(*points) if expected == 3
+                       else MembershipFunction(points))
     return FuzzyVariable(doc["name"], tuple(doc["universe"]), sets)
 
 

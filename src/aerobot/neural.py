@@ -232,8 +232,7 @@ def diagnose(net: Mlp, dataset) -> GradientReport:
 class HopfieldNet:
     """Symmetric zero-diagonal weights storing bipolar patterns as attractors."""
 
-    n: int
-    weights: np.ndarray
+    weights: np.ndarray  # (n, n) for patterns of length n
     stored_patterns: tuple
 
 
@@ -246,17 +245,18 @@ def _check_bipolar(pattern, n: int) -> np.ndarray:
     return p
 
 
-def hopfield_train(patterns, n: int) -> HopfieldNet:
-    """Hebbian storage: W = P^T P / n over the pattern rows P, diagonal forced to 0.
-    The weights are read-only, so one trained net can be shared."""
-    checked = [_check_bipolar(p, n) for p in patterns]
-    if not checked:
+def hopfield_train(patterns) -> HopfieldNet:
+    """Hebbian storage: W = P^T P / n over the pattern rows P of the first one's length n,
+    diagonal forced to 0. The weights are read-only, so one trained net can be shared."""
+    patterns = list(patterns)
+    if not patterns:
         raise EmptyDataset("need at least one pattern")
-    stacked = np.array(checked)
+    n = np.size(patterns[0])
+    stacked = np.array([_check_bipolar(p, n) for p in patterns])
     weights = stacked.T @ stacked / n
     np.fill_diagonal(weights, 0.0)
     weights.flags.writeable = False
-    return HopfieldNet(n, weights, tuple(tuple(int(v) for v in p) for p in checked))
+    return HopfieldNet(weights, tuple(tuple(int(v) for v in p) for p in stacked))
 
 
 def hopfield_recall(net: HopfieldNet, pattern, max_iter: int = 10) -> tuple[np.ndarray, int]:
@@ -267,8 +267,8 @@ def hopfield_recall(net: HopfieldNet, pattern, max_iter: int = 10) -> tuple[np.n
     Raises NonConvergent when no zero-free fixed point appears in max_iter.
     """
     state = np.asarray(pattern, dtype=np.float64)
-    if state.shape != (net.n,):
-        raise DimensionMismatch(f"input length {state.shape}, expected {net.n}")
+    if state.shape != (len(net.weights),):
+        raise DimensionMismatch(f"input length {state.shape}, expected {len(net.weights)}")
     if not np.all(np.isin(state, (-1.0, 0.0, 1.0))):
         raise NonBipolarPattern(f"entries must be -1, 0, or +1, got {list(state)}")
     if max_iter < 1:
@@ -286,5 +286,5 @@ def hopfield_recall(net: HopfieldNet, pattern, max_iter: int = 10) -> tuple[np.n
 
 def hopfield_energy(net: HopfieldNet, state) -> float:
     """Attractor energy E = -1/2 s^T W s of a bipolar state."""
-    s = _check_bipolar(state, net.n)
+    s = _check_bipolar(state, len(net.weights))
     return float(-0.5 * s @ net.weights @ s)

@@ -40,7 +40,7 @@ UNRESOLVED = "unresolved"
 @cache
 def sidewalk_memory() -> HopfieldNet:
     """Three-neuron Hopfield net storing both alternation patterns, trained once."""
-    return hopfield_train(FUNDAMENTAL_PATTERNS, 3)
+    return hopfield_train(FUNDAMENTAL_PATTERNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +185,11 @@ def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[Inspec
 
 # Synthetic ground truth -------------------------------------------------------
 
+# generator gray levels; erased blocks and the ground around the band are BACKGROUND_LEVEL
+BRIGHT_LEVEL = 230
+DARK_LEVEL = 25
+BACKGROUND_LEVEL = 128
+
 @dataclass(frozen=True)
 class SidewalkParams:
     """Generator settings for a striped curb with known erased blocks."""
@@ -193,9 +198,6 @@ class SidewalkParams:
     block_length: int = 8
     image_height: int = 48
     band_top: int = 16
-    bright: int = 230
-    dark: int = 25
-    background: int = 128  # erased blocks fall back to this level
     noise_sigma: float = 0.0
     erased_blocks: tuple = field(default_factory=tuple)
     first_block_bright: bool = True
@@ -204,11 +206,11 @@ class SidewalkParams:
 def generate_sidewalk(params: SidewalkParams, seed: int = 0) -> Image:
     """Render a striped band on a flat background, with erased blocks and noise."""
     width = params.n_blocks * params.block_length
-    arr = np.full((params.image_height, width), params.background, dtype=np.float64)
+    arr = np.full((params.image_height, width), BACKGROUND_LEVEL, dtype=np.float64)
     for j in range(params.n_blocks):
         bright = (j % 2 == 0) == params.first_block_bright
-        value = params.background if j in params.erased_blocks else (
-            params.bright if bright else params.dark)
+        value = BACKGROUND_LEVEL if j in params.erased_blocks else (
+            BRIGHT_LEVEL if bright else DARK_LEVEL)
         x0 = j * params.block_length
         arr[params.band_top:params.band_top + params.block_length,
             x0:x0 + params.block_length] = value

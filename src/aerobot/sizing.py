@@ -35,18 +35,13 @@ class MassEntry:
             raise OutOfRange(f"{self.name!r}: {self.count} x {self.grams} g not finite or < 0")
 
 
-@dataclass(frozen=True)
-class MassTable:
-    entries: tuple
+def total_mass(table: tuple) -> float:
+    """Sum of unit mass times piece count over a tuple of MassEntry, in grams."""
+    return sum(e.grams * e.count for e in table)
 
 
-def total_mass(table: MassTable) -> float:
-    """Sum of unit mass times piece count, in grams."""
-    return sum(e.grams * e.count for e in table.entries)
-
-
-def load_mass_table(text: str) -> MassTable:
-    """Parse the text of a name,grams,count CSV; a header alone is an empty table."""
+def load_mass_table(text: str) -> tuple:
+    """Parse the text of a name,grams,count CSV into MassEntry rows; a header alone is ()."""
     reader = csv.reader(io.StringIO(text))
     rows = [(i, row) for i, row in enumerate(reader, start=1) if row and any(c.strip() for c in row)]
     if not rows:
@@ -62,10 +57,10 @@ def load_mass_table(text: str) -> MassTable:
             entries.append(MassEntry(row[0].strip(), float(row[1]), int(row[2])))
         except (OverflowError, ValueError) as exc:
             raise ParseError(str(exc), row=line_no) from exc
-    return MassTable(tuple(entries))
+    return tuple(entries)
 
 
-def default_mass_table() -> MassTable:
+def default_mass_table() -> tuple:
     """Component masses of the reference vehicle, shipped in assets/table1.csv."""
     text = resources.files("aerobot.assets").joinpath("table1.csv").read_text()
     return load_mass_table(text)

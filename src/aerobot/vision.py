@@ -34,6 +34,8 @@ DEFAULT_EXG_THRESHOLD = 20
 MAX_KERNEL_RADIUS = 256
 # most line-accumulator angles, a 0.05 degree step; bounds the (angles, edges) vote tables
 MAX_THETAS = 3600
+# Gabor envelope ellipticity gamma: the Gaussian spreads sigma / gamma along the stripes
+GABOR_ASPECT = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,17 +65,15 @@ class GreenDensity(NamedTuple):
 
 @dataclass(frozen=True)
 class GaborParams:
-    """Real Gabor kernel parameters: cosine carrier under a rotated Gaussian."""
+    """Real Gabor kernel parameters: zero-phase cosine carrier under a rotated Gaussian."""
 
     wavelength: float        # carrier period, pixels
     orientation: float       # radians
     sigma: float             # Gaussian envelope scale, pixels
-    aspect: float = 0.5      # envelope ellipticity gamma
-    phase: float = 0.0       # carrier phase psi, radians
 
     def __post_init__(self):
-        if self.wavelength <= 0 or self.sigma <= 0 or self.aspect <= 0:
-            raise ConfigInvalid("wavelength, sigma, and aspect must be positive")
+        if self.wavelength <= 0 or self.sigma <= 0:
+            raise ConfigInvalid("wavelength and sigma must be positive")
 
 
 def default_gabor_bank() -> list[GaborParams]:
@@ -341,15 +341,15 @@ def circle_hits_csv(hits: list[CircleHit]) -> str:
 def gabor_kernel(p: GaborParams) -> np.ndarray:
     """Sampled real Gabor kernel, mean-shifted so flat regions give no response."""
     sigma_x = p.sigma
-    sigma_y = p.sigma / p.aspect
+    sigma_y = p.sigma / GABOR_ASPECT
     radius = max(1, math.ceil(3.0 * max(sigma_x, sigma_y)))
     offs = np.arange(-radius, radius + 1, dtype=np.float64)
     yy, xx = np.meshgrid(offs, offs, indexing="ij")
     c, s = math.cos(p.orientation), math.sin(p.orientation)
     x_rot = xx * c + yy * s
     y_rot = -xx * s + yy * c
-    kernel = np.exp(-(x_rot ** 2 + (p.aspect * y_rot) ** 2) / (2.0 * p.sigma ** 2))
-    kernel *= np.cos(2.0 * math.pi * x_rot / p.wavelength + p.phase)
+    kernel = np.exp(-(x_rot ** 2 + (GABOR_ASPECT * y_rot) ** 2) / (2.0 * p.sigma ** 2))
+    kernel *= np.cos(2.0 * math.pi * x_rot / p.wavelength)
     return kernel - kernel.mean()
 
 

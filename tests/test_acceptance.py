@@ -97,7 +97,7 @@ def _recall_oracle(probe, max_sweeps=3):
 
 
 def test_criterion_03_hopfield_storage_and_recall():
-    net = hopfield_train(VERTICES, 3)
+    net = hopfield_train(VERTICES)
     for vertex in VERTICES:
         state, sweeps = hopfield_recall(net, vertex)
         assert tuple(int(v) for v in state) == vertex and sweeps == 1

@@ -25,7 +25,6 @@ from aerobot.sizing import (
     GRAVITY,
     MAX_STEPS,
     MassEntry,
-    MassTable,
     SimConfig,
     ThrustSpec,
     default_mass_table,
@@ -40,13 +39,13 @@ class TestMassTable:
     def test_reference_table_total(self):
         table = default_mass_table()
         assert total_mass(table) == 32019
-        assert sum(e.count for e in table.entries) == 32
+        assert sum(e.count for e in table) == 32
 
     def test_empty_table(self):
-        assert total_mass(MassTable(())) == 0
+        assert total_mass(()) == 0
 
     def test_single_entry(self):
-        assert total_mass(MassTable((MassEntry("battery", 688, 2),))) == 1376
+        assert total_mass((MassEntry("battery", 688, 2),)) == 1376
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -66,7 +65,7 @@ class TestLoadMassTable:
     def test_header_only(self):
         for text in ("name,grams,count\n", "name,grams,count"):  # text, never a path
             table = load_mass_table(text)
-            assert table.entries == ()
+            assert table == ()
             assert total_mass(table) == 0
 
     def test_round_values(self):

@@ -84,11 +84,20 @@ class TestMembership:
         assert mf(0.0) == 1.0
         assert mf(0.5) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("points", [(0.0, math.nan, 1.0), (math.nan, 0.0, 1.0),
-                                        (0.0, 1.0, math.inf), (-math.inf, 0.0, 1.0, 2.0)])
+    @pytest.mark.parametrize("points", [(0.0, math.nan, math.nan, 1.0), (math.nan, 0.0, 0.0, 1.0),
+                                        (0.0, 1.0, 1.0, math.inf), (-math.inf, 0.0, 1.0, 2.0)])
     def test_rejects_non_finite_points(self, points):
         with pytest.raises(ValueError, match="finite"):
             MembershipFunction(points)
+
+    def test_one_four_breakpoint_form(self):
+        assert MembershipFunction.triangle(0, 0.5, 1).points == (0.0, 0.5, 0.5, 1.0)
+        system = system_from_json(DOSING_JSON)
+        assert system.inputs["green_density"].sets["medium"].points == (0.0, 0.5, 0.5, 1.0)
+        assert system.outputs["dose"].sets["large"].points == (5.0, 9.0, 9.0, 10.0)
+        for points in ((0.0, 0.5, 1.0), (0.0, 0.2, 0.4, 0.6, 1.0)):
+            with pytest.raises(ConfigInvalid, match="4 breakpoints"):
+                MembershipFunction(points)
 
     def test_rejects_decreasing_points(self):
         with pytest.raises(ValueError):
@@ -523,9 +532,11 @@ def tilt_deltas_oracle(roll, pitch):
 
 
 def random_points(rng, lo, hi):
-    """3 or 4 breakpoints on a coarse grid, so ties (vertical edges, spikes) are common."""
+    """A triangle (a, b, b, c) or a trapezoid on a coarse grid, so ties (vertical edges,
+    spikes) are common."""
     grid = np.linspace(lo, hi, int(rng.integers(3, 9)))
-    return tuple(float(v) for v in np.sort(rng.choice(grid, size=int(rng.choice([3, 4])))))
+    points = tuple(float(v) for v in np.sort(rng.choice(grid, size=int(rng.choice([3, 4])))))
+    return points if len(points) == 4 else points[:2] + points[1:]
 
 
 def random_variable(rng, name, n_labels):
@@ -768,7 +779,7 @@ class TestCurveStacks:
         "step": MembershipFunction.trapezoid(1.0, 1.0, 2.0, 2.0),
         "spike_at_zero": MembershipFunction.triangle(0.0, 0.0, 0.0),
         "spike_inside": MembershipFunction.triangle(2.2, 2.2, 2.2),
-        "int_triangle": MembershipFunction((0, 2, 5)),
+        "int_triangle": MembershipFunction((0, 2, 2, 5)),
         "int_trapezoid": MembershipFunction((1, 2, 3, 4)),
     }
 
@@ -793,7 +804,7 @@ class TestCurveStacks:
                 assert curves.tobytes() == ref_curves.tobytes()
 
     def test_int_and_float_breakpoints_give_the_same_curves(self):
-        ints = FuzzyVariable("y", (0, 4), {"a": MembershipFunction((0, 1, 3)),
+        ints = FuzzyVariable("y", (0, 4), {"a": MembershipFunction((0, 1, 1, 3)),
                                            "b": MembershipFunction((1, 2, 3, 4))})
         floats = FuzzyVariable("y", (0.0, 4.0), {"a": MembershipFunction.triangle(0, 1, 3),
                                                  "b": MembershipFunction.trapezoid(1, 2, 3, 4)})

@@ -35,7 +35,7 @@ VERTICES = ((1, -1, 1), (-1, 1, -1))
 
 
 def two_vertex_net():
-    return hopfield_train(VERTICES, 3)
+    return hopfield_train(VERTICES)
 
 
 class TestActivations:
@@ -401,7 +401,7 @@ class TestHopfieldTrain:
         assert net.weights[0, 1] == pytest.approx(-2 / 3)
 
     def test_single_pattern(self):
-        net = hopfield_train([(1, 1)], 2)
+        net = hopfield_train([(1, 1)])
         assert net.weights[0, 1] == pytest.approx(0.5)
         assert net.weights[0, 0] == 0.0
 
@@ -416,17 +416,25 @@ class TestHopfieldTrain:
                 want += np.outer(p, p)
             want /= n
             np.fill_diagonal(want, 0.0)
-            got = hopfield_train(patterns.tolist(), n).weights
+            got = hopfield_train(patterns.tolist()).weights
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_rejects_zero_entry(self):
         with pytest.raises(NonBipolarPattern):
-            hopfield_train([(1, 0, -1)], 3)
+            hopfield_train([(1, 0, -1)])
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hopfield_train([(1, -1)], 3)
+        # the first pattern sets the length every later one must have
+        for patterns in ([(1, -1), (1, -1, 1)], [(1, -1, 1), (1, -1)], [[(1, -1), (-1, 1)]]):
+            with pytest.raises(DimensionMismatch):
+                hopfield_train(patterns)
+        assert hopfield_train(iter([(1, -1, 1), (-1, 1, -1)])).weights.shape == (3, 3)
+
+    def test_rejects_no_patterns(self):
+        for patterns in ([], iter(())):
+            with pytest.raises(EmptyDataset):
+                hopfield_train(patterns)
 
     def test_stored_patterns_are_fixed_points(self):
         # Hebbian storage is probabilistic near capacity (~0.138n); this seed's
@@ -436,7 +444,7 @@ class TestHopfieldTrain:
             n_patterns = int(rng.integers(1, 4))
             n = 4 * n_patterns + int(rng.integers(0, 4))
             patterns = (rng.integers(0, 2, size=(n_patterns, n)) * 2 - 1).tolist()
-            net = hopfield_train(patterns, n)
+            net = hopfield_train(patterns)
             for p in patterns:
                 state, sweeps = hopfield_recall(net, p, max_iter=5)
                 assert sweeps == 1
@@ -559,7 +567,7 @@ class TestHopfieldEnergy:
                 assert base <= hopfield_energy(net, flipped)
 
     def test_zero_weights(self):
-        zeroed = HopfieldNet(4, np.zeros((4, 4)), ((1, 1, 1, 1),))
+        zeroed = HopfieldNet(np.zeros((4, 4)), ((1, 1, 1, 1),))
         for s in itertools.product((-1, 1), repeat=4):
             assert hopfield_energy(zeroed, s) == 0.0
 

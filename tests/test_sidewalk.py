@@ -132,14 +132,14 @@ class TestGenerator:
         assert (img.width, img.height) == (96, 48)
         arr = img.to_array()
         band = arr[params.band_top:params.band_top + params.block_length]
-        assert set(np.unique(band)) == {params.dark, params.bright}
-        assert np.all(arr[:params.band_top] == params.background)
+        assert set(np.unique(band)) == {sidewalk.DARK_LEVEL, sidewalk.BRIGHT_LEVEL}
+        assert np.all(arr[:params.band_top] == sidewalk.BACKGROUND_LEVEL)
 
     def test_erased_blocks_fall_to_background(self):
         params = SidewalkParams(erased_blocks=(3,))
         arr = generate_sidewalk(params).to_array()
         block = arr[params.band_top:params.band_top + 8, 24:32]
-        assert np.all(block == params.background)
+        assert np.all(block == sidewalk.BACKGROUND_LEVEL)
 
     def test_noise_is_seed_deterministic(self):
         params = SidewalkParams(noise_sigma=10.0)

@@ -868,7 +868,7 @@ class TestGabor:
     def test_fft_matches_einsum(self, shape):
         rng = np.random.default_rng(shape[0] + shape[1])
         arr = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        bank = default_gabor_bank() + [GaborParams(5.0, 0.3, 1.5, aspect=0.8, phase=1.0)]
+        bank = default_gabor_bank() + [GaborParams(5.0, 0.3, 1.5)]
         maps = gabor_bank(gray(arr), bank)
         for p, m in zip(bank, maps):
             expected = einsum_convolve(arr.astype(np.float64), gabor_kernel(p))
@@ -878,7 +878,7 @@ class TestGabor:
         rng = np.random.default_rng(11)
         arr = rng.integers(0, 256, size=(37, 29), dtype=np.uint8)
         small = [GaborParams(4.0, a, 1.2) for a in (0.0, 1.1)]
-        large = [GaborParams(9.0, a, 3.0, aspect=0.7) for a in (0.4, 2.0)]
+        large = [GaborParams(9.0, a, 3.0) for a in (0.4, 2.0)]
         bank = [small[0], large[0], small[1], large[1]]
         assert len({gabor_kernel(p).shape for p in bank}) == 2
         maps = gabor_bank(gray(arr), bank)
@@ -939,7 +939,7 @@ class TestGabor:
     def test_mixed_sizes_make_one_convolution(self, monkeypatch):
         convolve, calls = vision._reflect_convolve, []
         monkeypatch.setattr(vision, "_reflect_convolve", lambda *a: calls.append(a) or convolve(*a))
-        bank = [GaborParams(4.0, 0.0, 1.2), GaborParams(9.0, 0.4, 3.0, aspect=0.7)]
+        bank = [GaborParams(4.0, 0.0, 1.2), GaborParams(9.0, 0.4, 3.0)]
         img = gray(np.random.default_rng(15).integers(0, 256, size=(11, 19), dtype=np.uint8))
         maps = gabor_bank(img, bank)
         assert len(calls) == 1 and calls[0][1] == gabor_kernel(bank[1]).shape
