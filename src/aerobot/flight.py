@@ -73,8 +73,9 @@ def simulate_hover(cfg: SimConfig) -> np.recarray:
 
         theta = math.radians(azimuth)
         lever = extension * arm_torque_scale
-        torque_x = float(row @ rotor_y) - lever * math.sin(theta)
-        torque_y = -float(row @ rotor_x) + lever * math.cos(theta)
+        # an element-wise product and numpy's sum fix the order, where BLAS's ddot would not
+        torque_x = float((row * rotor_y).sum()) - lever * math.sin(theta)
+        torque_y = -float((row * rotor_x).sum()) + lever * math.cos(theta)
 
         roll_rate += cfg.dt_s * torque_x / cfg.inertia_kgm2
         pitch_rate += cfg.dt_s * torque_y / cfg.inertia_kgm2

@@ -3,7 +3,9 @@ training-pathology diagnostics, and the Hopfield associative memory.
 
 The MLP exists to exercise activation and gradient behavior (vanishing
 gradients under Sigmoid, dead units under ReLU); the Hopfield net is the
-decision memory of the sidewalk pipeline.
+decision memory of the sidewalk pipeline. Every product is an `np.einsum`
+with optimize=False, which never calls BLAS, so the bits do not depend on
+the host's BLAS kernel.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _forward(net: Mlp, x: np.ndarray):
     activations = [x]
     pre = []
     for w, b in zip(net.weights, net.biases):
-        z = activations[-1] @ w.T + b
+        z = np.einsum("...i,ji->...j", activations[-1], w, optimize=False) + b
         pre.append(z)
         activations.append(net.activation(z))
     return pre, activations
@@ -135,10 +137,11 @@ def _gradients(net: Mlp, x: np.ndarray, target: np.ndarray):
     grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = delta.T @ acts[i] / rows
+        grads_w[i] = np.einsum("rj,ri->ji", delta, acts[i], optimize=False) / rows
         grads_b[i] = delta.mean(axis=0)
         if i > 0:
-            delta = (delta @ net.weights[i]) * net.activation.deriv(pre[i - 1])
+            delta = (np.einsum("rj,ji->ri", delta, net.weights[i], optimize=False)
+                     * net.activation.deriv(pre[i - 1]))
     # every row has n_out entries, so this is also the mean of the per-row MSEs
     return grads_w, grads_b, float(np.mean(err ** 2)), pre
 
@@ -253,7 +256,7 @@ def hopfield_train(patterns) -> HopfieldNet:
         raise EmptyDataset("need at least one pattern")
     n = np.size(patterns[0])
     stacked = np.array([_check_bipolar(p, n) for p in patterns])
-    weights = stacked.T @ stacked / n
+    weights = np.einsum("pi,pj->ij", stacked, stacked, optimize=False) / n
     np.fill_diagonal(weights, 0.0)
     weights.flags.writeable = False
     return HopfieldNet(weights, tuple(tuple(int(v) for v in p) for p in stacked))
@@ -274,7 +277,7 @@ def hopfield_recall(net: HopfieldNet, pattern, max_iter: int = 10) -> tuple[np.n
     if max_iter < 1:
         raise OutOfRange("max_iter must be >= 1")
     for sweep in range(1, max_iter + 1):
-        field_ = net.weights @ state
+        field_ = np.einsum("ij,j->i", net.weights, state, optimize=False)
         new_state = np.where(field_ > 0.0, 1.0, np.where(field_ < 0.0, -1.0, state))
         if np.array_equal(new_state, state):
             if np.any(new_state == 0.0):
@@ -287,4 +290,4 @@ def hopfield_recall(net: HopfieldNet, pattern, max_iter: int = 10) -> tuple[np.n
 def hopfield_energy(net: HopfieldNet, state) -> float:
     """Attractor energy E = -1/2 s^T W s of a bipolar state."""
     s = _check_bipolar(state, len(net.weights))
-    return float(-0.5 * s @ net.weights @ s)
+    return float(-0.5 * np.einsum("i,ij,j->", s, net.weights, s, optimize=False))

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 from importlib import resources
@@ -659,3 +662,75 @@ class TestGoldenStdout:
             code, outs[name], err = run(capsys, *argv)
             assert (code, err) == (0, ""), name
         assert outs == golden  # a failure names every moved entry
+
+
+# Prints every golden stdout and both trace digests as one JSON object, and the
+# numpy dispatch targets it runs with to stderr.
+PINNED_CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+import numpy as np
+from aerobot import cli
+from aerobot.flight import simulate_hover, trace_to_csv
+from test_cli import golden_calls
+from test_flight import PINNED_TRACES
+umath = np._core._multiarray_umath
+print("dispatch:", *[f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]], file=sys.stderr)
+out = {}
+for name, argv in golden_calls(Path(sys.argv[1])).items():
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        cli.run(argv)
+    out[name] = buf.getvalue()
+for name, (cfg, _) in PINNED_TRACES.items():
+    out[name] = hashlib.sha256(trace_to_csv(simulate_hover(cfg)).encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+# OpenBLAS kernels to force: the x86 cpuinfo flags each needs, and the names OpenBLAS
+# may report for it (a DYNAMIC_ARCH build can serve Prescott with its Katmai kernels)
+BLAS_KERNELS = {"Prescott": ({"pni"}, {"Prescott", "Katmai"}),
+                "Haswell": ({"avx2", "fma"}, {"Haswell"})}
+
+
+def cpu_flags() -> set:
+    try:
+        found = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.M)
+    except OSError:
+        return set()
+    return set(found.group(1).split()) if found else set()
+
+
+def test_pinned_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    """The golden stdout and both trace digests come out byte-equal under every OpenBLAS
+    kernel the host can run, and with numpy's dispatched SIMD targets turned off."""
+    from test_flight import PINNED_TRACES
+
+    expected = {**json.loads(GOLDEN.read_text()),
+                **{name: digest for name, (_, digest) in PINNED_TRACES.items()}}
+    envs = {"default": {}}
+    if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        flags = cpu_flags()
+        envs.update({kernel: {"OPENBLAS_CORETYPE": kernel}
+                     for kernel, (needs, _) in BLAS_KERNELS.items() if needs <= flags})
+    umath = np._core._multiarray_umath
+    dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]
+    if dispatched:
+        envs["numpy-baseline"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)}
+    paths = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
+    children = {}
+    for name, extra in envs.items():
+        (tmp_path / name).mkdir()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_VERBOSE": "2",
+               **extra}
+        children[name] = subprocess.Popen(
+            [sys.executable, "-c", PINNED_CHILD, str(tmp_path / name)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for name, child in children.items():
+        out, err = child.communicate(timeout=600)
+        assert child.returncode == 0, (name, err)
+        cores = re.findall(r"^Core: (\S+)", err, re.M)
+        if name in BLAS_KERNELS:  # an override OpenBLAS ignored would prove nothing
+            assert cores and cores[0] in BLAS_KERNELS[name][1], (name, err)
+        if name == "numpy-baseline":
+            assert re.search(r"^dispatch:\s*$", err, re.M), err
+        assert json.loads(out) == expected, name  # a failure names every moved entry

@@ -34,6 +34,18 @@ from aerobot.sizing import (
     total_mass,
 )
 
+# sha256 of the whole trace CSV: any change to a thrust, rate or angle bit shows,
+# over far more of the closed loop than the 50-step golden run
+PINNED_TRACES = {
+    "seeded_controller_on": (SimConfig(duration_s=1.0, arm_trajectory=(
+        # keyframes drawn from default_rng(2026)
+        (0.0, 23.311, 0.653), (0.371, 493.76, 0.298),
+        (0.467, 617.555, 0.967), (0.64, -168.459, 0.92))),
+        "4b23b4dbe905603789739f5d5ba19c45d916453dd1e3b3a026122972490c65bd"),
+    "default_controller_off": (SimConfig(duration_s=1.0, controller=False),
+                               "6ecca569bcd17b9ced92e78dcd282f4af85cd321c40b51f620b1beb86d4aa5b2"),
+}
+
 
 class TestMassTable:
     def test_reference_table_total(self):
@@ -284,16 +296,7 @@ class TestSimulate:
         with pytest.raises(ParseError):
             SimConfig.from_json('{"unknown_field": 3}')
 
-    # sha256 of the whole trace CSV: any change to a thrust, rate or angle bit shows,
-    # over far more of the closed loop than the 50-step golden run
-    @pytest.mark.parametrize("cfg, digest", [
-        (SimConfig(duration_s=1.0, arm_trajectory=(  # keyframes drawn from default_rng(2026)
-            (0.0, 23.311, 0.653), (0.371, 493.76, 0.298),
-            (0.467, 617.555, 0.967), (0.64, -168.459, 0.92))),
-         "372364e75c11e70f05dde6f39ab9158567ac7f2146baf81b2814a29625a6e281"),
-        (SimConfig(duration_s=1.0, controller=False),
-         "63614c8fc6799df115d0f921d4a43b9c2b2a38bcd5757a9187ac4169016a6a21"),
-    ], ids=["seeded_controller_on", "default_controller_off"])
+    @pytest.mark.parametrize("cfg, digest", PINNED_TRACES.values(), ids=PINNED_TRACES)
     def test_closed_loop_trace_pinned(self, cfg, digest):
         csv = trace_to_csv(simulate_hover(cfg))
         assert hashlib.sha256(csv.encode()).hexdigest() == digest
@@ -380,8 +383,8 @@ def simulate_hover_oracle(cfg: SimConfig) -> list:
                                 tuple(thrusts.tolist()), azimuth, extension))
         theta = math.radians(azimuth)
         lever = extension * arm_torque_scale
-        torque_x = float(thrusts @ rotor_y) - lever * math.sin(theta)
-        torque_y = -float(thrusts @ rotor_x) + lever * math.cos(theta)
+        torque_x = float((thrusts * rotor_y).sum()) - lever * math.sin(theta)
+        torque_y = -float((thrusts * rotor_x).sum()) + lever * math.cos(theta)
         roll_rate += cfg.dt_s * torque_x / cfg.inertia_kgm2
         pitch_rate += cfg.dt_s * torque_y / cfg.inertia_kgm2
         roll += cfg.dt_s * roll_rate
