@@ -171,6 +171,28 @@ class TestExtractStrip:
         assert np.all((0.0 <= strip.means) & (strip.means <= 1.0))
         assert not strip.means.flags.writeable
 
+    def test_floor_falls_between_two_integer_contrasts(self):
+        # alternating blocks at 128 +/- delta on a flat 128 ground: the winning band's
+        # mean |response| per pixel is delta times 0.1335 at sigma 0.5, so the floor
+        # of 1.0 lies between contrasts 7 and 8
+        def frame(delta):
+            arr = np.full((48, 192), 128, np.uint8)
+            for j in range(12):
+                arr[16:32, 16 * j:16 * j + 16] = 128 + (delta if j % 2 == 0 else -delta)
+            return Image.from_array(arr)
+
+        def band_strength(img):
+            rows = np.abs(wavelet_response(img, 0.5).values).sum(axis=1)
+            return np.convolve(rows, np.ones(16), mode="valid").max() / (16 * 192)
+
+        unit = band_strength(frame(1))
+        for delta in (7, 8):
+            assert band_strength(frame(delta)) == pytest.approx(delta * unit, rel=1e-9)
+        assert 7 * unit < 1.0 < 8 * unit
+        with pytest.raises(NoStripFound):
+            extract_strip(frame(7), 0.5, 16)
+        assert extract_strip(frame(8), 0.5, 16).band_top == 16
+
     def test_constant_image_raises(self):
         img = Image.from_array(np.full((48, 96), 128, np.uint8))
         with pytest.raises(NoStripFound):

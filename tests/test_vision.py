@@ -308,8 +308,8 @@ class TestWaveletResponse:
         arr = np.random.default_rng(shape[0] * 100 + shape[1]).integers(0, 256, size=shape)
         for sigma in (1.0, 2.5):
             kernel = mexican_hat_kernel(sigma)
-            expected = pad_reflect_convolve(arr.astype(np.float64), kernel.shape,
-                                            vision._kernel_spectrum(kernel, shape))
+            expected = vision._reflect_convolve(arr.astype(np.float64), kernel.shape,
+                                                vision._kernel_spectrum(kernel, shape))
             assert np.array_equal(wavelet_response(gray(arr), sigma).values, expected)
 
     @pytest.mark.parametrize("shape, sigma", [
@@ -333,8 +333,8 @@ class TestWaveletResponse:
         got = wavelet_response(gray(arr), sigma).values
         direct = einsum_convolve(arr.astype(np.float64), kernel)
         assert np.abs(got - direct).max() <= 1e-9 * np.abs(kernel).sum() * 255
-        float_path = pad_reflect_convolve(arr.astype(np.float64), kernel.shape,
-                                          vision._kernel_spectrum(kernel, arr.shape))
+        float_path = vision._reflect_convolve(arr.astype(np.float64), kernel.shape,
+                                              vision._kernel_spectrum(kernel, arr.shape))
         assert np.array_equal(got, float_path)
 
     def test_constant_image_is_zero(self):
@@ -760,15 +760,6 @@ class TestHoughCircles:
 
 # Shape-keyed tables ----------------------------------------------------------
 
-def pad_reflect_convolve(arr, kernel_shape, spectrum):
-    """Reflect-padded FFT convolution of a float64 image, the reference for the uint8 input."""
-    kh, kw = kernel_shape
-    ry, rx = kh // 2, kw // 2
-    products = spectrum * np.fft.rfft2(np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric"))
-    rows = np.fft.ifft(products, axis=-2, out=products)[..., kh - 1:, :]
-    return np.fft.irfft(rows, n=arr.shape[1] + kw - 1, axis=-1)[..., kw - 1:]
-
-
 def aerobot_caches() -> dict:
     """Every memoized function defined in an aerobot module, by qualified name."""
     found = {}
@@ -814,9 +805,10 @@ class TestShapeKeyedTables:
             theta_step = (1.0, 4.5)[i]
             assert hough_lines(masks[i], theta_step) == hough_lines_oracle(masks[i], theta_step)
             arr, kernel = crops[i], kernels[i]
-            spectrum = vision._kernel_spectrum(kernel, arr.shape)
-            assert np.array_equal(vision._reflect_convolve(arr, kernel.shape, spectrum),
-                                  pad_reflect_convolve(arr, kernel.shape, spectrum))
+            got = vision._reflect_convolve(arr, kernel.shape,
+                                           vision._kernel_spectrum(kernel, arr.shape))
+            assert np.abs(got - einsum_convolve(arr, kernel)).max() <= \
+                1e-9 * np.abs(kernel).sum() * 255
         assert vision._circle_offsets.cache_info().hits >= 1
 
 
@@ -829,16 +821,9 @@ def make_grating(size, wavelength, theta):
 
 
 def gabor_bank_oracle(img, params):
-    """The earlier `gabor_bank`: one spectrum stack and one convolution per kernel size."""
+    """Each member's map by direct convolution, sharing no code with the FFT path."""
     arr = img.to_array().astype(np.float64)
-    kernels = [gabor_kernel(p) for p in params]
-    values = [None] * len(kernels)
-    for shape in dict.fromkeys(k.shape for k in kernels):
-        members = [i for i, k in enumerate(kernels) if k.shape == shape]
-        spectrum = vision._kernel_spectrum(np.stack([kernels[i] for i in members]), arr.shape)
-        for i, v in zip(members, vision._reflect_convolve(arr, shape, spectrum)):
-            values[i] = v
-    return values
+    return [einsum_convolve(arr, gabor_kernel(p)) for p in params]
 
 
 class TestGabor:
@@ -928,13 +913,20 @@ class TestGabor:
 
     @pytest.mark.parametrize("shape", SWEEP_SHAPES)
     def test_one_size_banks_match_the_per_size_oracle_bit_for_bit(self, shape):
+        # the cached uint8 path gives the bits of one fresh float64 convolution of the
+        # bank's stack, and both lie within rounding of the direct oracle
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
-        img = gray(rng.integers(0, 256, size=shape, dtype=np.uint8))
+        arr = rng.integers(0, 256, size=shape, dtype=np.uint8)
         narrow = [GaborParams(6.0, i * math.pi / 4, 2.5) for i in range(4)]
         for bank in (default_gabor_bank(), narrow):
-            maps = gabor_bank(img, bank)
-            for m, expected in zip(maps, gabor_bank_oracle(img, bank), strict=True):
-                assert np.array_equal(m.values, expected)
+            stack = np.stack([gabor_kernel(p) for p in bank])
+            per_size = vision._reflect_convolve(arr.astype(np.float64), stack.shape[1:],
+                                                vision._kernel_spectrum(stack, shape))
+            maps = gabor_bank(gray(arr), bank)
+            direct = gabor_bank_oracle(gray(arr), bank)
+            for kernel, m, fft, expected in zip(stack, maps, per_size, direct, strict=True):
+                assert np.array_equal(m.values, fft)
+                assert np.abs(m.values - expected).max() <= 1e-9 * np.abs(kernel).sum() * 255
 
     def test_mixed_sizes_make_one_convolution(self, monkeypatch):
         convolve, calls = vision._reflect_convolve, []
@@ -993,6 +985,15 @@ class TestPca:
         comps, proj = pca_project(data, 3)
         centered = data - data.mean(axis=0)
         assert np.allclose(proj @ comps, centered, atol=1e-9)
+
+    def test_largest_entry_of_every_component_is_positive(self):
+        rng = np.random.default_rng(41)
+        for dim in (1, 2, 3, 6):
+            data = rng.normal(size=(12, dim)) * rng.uniform(0.5, 4.0, size=dim)
+            for k in range(1, dim + 1):
+                components, _ = pca_project(data, k)
+                for row in components:
+                    assert row[np.argmax(np.abs(row))] > 0.0
 
     def test_identical_vectors(self):
         with pytest.raises(ZeroVariance):
