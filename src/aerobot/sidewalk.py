@@ -190,6 +190,7 @@ BRIGHT_LEVEL = 230
 DARK_LEVEL = 25
 BACKGROUND_LEVEL = 128
 
+
 @dataclass(frozen=True)
 class SidewalkParams:
     """Generator settings for a striped curb with known erased blocks."""

@@ -385,8 +385,8 @@ def pca_project(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Components are the descending-eigenvalue eigenvectors of the
     mean-centered covariance, returned as orthonormal rows with the
-    largest-magnitude entry made positive for a deterministic sign. Its products
-    go through BLAS, so the last bits may vary with the BLAS kernel; no pinned
+    largest-magnitude entry made positive for a deterministic sign. It calls BLAS
+    and LAPACK, so the last bits may vary with their kernels; no pinned
     output (golden CLI stdout or trace digest) reads it.
     """
     data = np.asarray(vectors, dtype=np.float64)
