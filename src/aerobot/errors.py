@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all aerobot modules.
 
 Every refusal in the package is an AerobotError, a ValueError since each one refuses an
-input value. The CLI maps this family, and nothing else, to exit 1.
+input value. The CLI maps this family, and nothing else, to exit 1. There is one class
+per kind of refusal: a number or size outside the bounds its function states is
+`OutOfRange`, and its message names the bound that broke.
 """
 
 
@@ -10,7 +12,7 @@ class AerobotError(ValueError):
 
 
 class OutOfRange(AerobotError):
-    """A number or size is non-finite or out of its range, or a result passes float range."""
+    """A number or size is non-finite or outside its stated bounds, or a result overflows."""
 
 
 class FileAccess(AerobotError):
@@ -27,14 +29,6 @@ class TruncatedData(AerobotError):
     """PNM header or raster ends before the declared sample count."""
 
 
-class MaxvalUnsupported(AerobotError):
-    """PNM maxval outside 1..255."""
-
-
-class NonPositiveDimensions(AerobotError):
-    """An image or its PNM header declares a zero or negative width/height."""
-
-
 class NotGrayscale(AerobotError):
     """Operation requires a single-channel image."""
 
@@ -46,37 +40,14 @@ class NotRGB(AerobotError):
 # vision -----------------------------------------------------------------
 
 class DegenerateHistogram(AerobotError):
-    """All histogram mass sits in one bin; no two-class split exists.
-
-    The bin's gray level is carried in ``value``.
-    """
-
-    def __init__(self, value: int):
-        super().__init__(f"all mass in bin {value}; between-class variance is 0 everywhere")
-        self.value = value
-
-
-class NonPositiveSigma(AerobotError):
-    """Kernel scale must be positive and finite."""
-
-
-class BadRadiusRange(AerobotError):
-    """Circle search requires 0 < r_min <= r_max."""
+    """All histogram mass sits in one bin; no two-class split exists."""
 
 
 class ZeroVariance(AerobotError):
     """All input vectors are identical; covariance is identically zero."""
 
 
-class NegativeRadiance(AerobotError):
-    """Emitted power density cannot be negative."""
-
-
 # neural -----------------------------------------------------------------
-
-class BadTopology(AerobotError):
-    """Network needs >= 3 layers, every layer size >= 1, at most MAX_PARAMETERS parameters."""
-
 
 class DimensionMismatch(AerobotError):
     """An array's length or shape does not match the size it must have or is paired with."""
@@ -107,14 +78,6 @@ class NoRuleFired(AerobotError):
 
 
 # flight -----------------------------------------------------------------
-
-class BadRotorCount(AerobotError):
-    """Rotor count must be 4, 6, or 8."""
-
-
-class SubUnitySafetyFactor(AerobotError):
-    """Safety factor below 1 would size thrust under hover weight."""
-
 
 class ConfigInvalid(AerobotError):
     """A simulation, inspection, activation or Gabor setting, a rulebase or its query is invalid."""

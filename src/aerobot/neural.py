@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BadTopology,
     ConfigInvalid,
     DimensionMismatch,
     EmptyDataset,
@@ -82,10 +81,10 @@ def mlp_init(layer_sizes, activation: Activation, seed: int) -> Mlp:
     """Weights uniform in [-0.5, 0.5] from the seeded generator; biases zero."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 3 or any(s < 1 for s in sizes):
-        raise BadTopology(f"layer sizes {sizes}")
+        raise OutOfRange(f"layer sizes {sizes}: need at least 3 layers, each of size >= 1")
     n_params = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
     if n_params > MAX_PARAMETERS:
-        raise BadTopology(f"{n_params} weights and biases, above the budget of {MAX_PARAMETERS}")
+        raise OutOfRange(f"{n_params} weights and biases, above the budget of {MAX_PARAMETERS}")
     if seed < 0:  # default_rng's own refusal is an untyped ValueError
         raise OutOfRange(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)

@@ -14,8 +14,6 @@ import numpy as np
 from .errors import (
     BadMagic,
     DimensionMismatch,
-    MaxvalUnsupported,
-    NonPositiveDimensions,
     NotGrayscale,
     OutOfRange,
     TruncatedData,
@@ -36,7 +34,7 @@ class Image:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise NonPositiveDimensions(f"{self.width}x{self.height}")
+            raise OutOfRange(f"width and height must be positive, got {self.width}x{self.height}")
         if self.channels not in (1, 3):
             raise OutOfRange(f"channels must be 1 or 3, got {self.channels}")
         expected = self.width * self.height * self.channels
@@ -150,10 +148,10 @@ def parse_pnm(data: bytes) -> Image:
     width, pos = _int_token(data, pos, "width")
     height, pos = _int_token(data, pos, "height")
     if width <= 0 or height <= 0:
-        raise NonPositiveDimensions(f"{width}x{height}")
+        raise OutOfRange(f"width and height must be positive, got {width}x{height}")
     maxval, pos = _int_token(data, pos, "maxval")
     if not 1 <= maxval <= 255:
-        raise MaxvalUnsupported(f"maxval {maxval} outside 1..255")
+        raise OutOfRange(f"maxval {maxval} outside 1..255")
 
     count = width * height * channels
     if magic in _MAGIC_ASCII:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
-from .errors import BadRotorCount, ConfigInvalid, OutOfRange, ParseError, SubUnitySafetyFactor
+from .errors import ConfigInvalid, OutOfRange, ParseError
 
 GRAVITY = 9.80665  # m/s^2, standard
 # largest duration_s / dt_s accepted; bounds the trace and its allocations
@@ -76,10 +76,10 @@ class ThrustSpec:
 
     def __post_init__(self):
         if self.rotors not in (4, 6, 8):
-            raise BadRotorCount(f"rotor count {self.rotors} not in (4, 6, 8)")
+            raise OutOfRange(f"rotor count {self.rotors} not in (4, 6, 8)")
         if self.safety_factor < 1.0:
             # a sub-unity margin would size rotors below hover weight
-            raise SubUnitySafetyFactor(f"safety factor {self.safety_factor} < 1")
+            raise OutOfRange(f"safety factor {self.safety_factor} is below 1")
         # one product catches a negative or non-finite weight or factor and an overflowing thrust
         if not 0 <= 2.0 * self.total_weight_kg * self.safety_factor * GRAVITY < math.inf:
             raise OutOfRange(f"weight {self.total_weight_kg} kg and safety factor "

@@ -1,24 +1,21 @@
 """Blackbody radiance/temperature conversion, free of numpy.
 
-Conversion always uses total emission. The two spectral windows usually
-sampled by long-wave (8-14 um) and mid-wave (3-5 um) cameras are
-descriptive metadata only.
+Conversion always uses total emission.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NegativeRadiance, OutOfRange
+from .errors import OutOfRange
 
 STEFAN_BOLTZMANN = 5.67e-8  # total-emission blackbody constant, W m^-2 K^-4
-THERMAL_BANDS_UM = {"long-wave": (8.0, 14.0), "mid-wave": (3.0, 5.0)}
 
 
 def radiance_to_temperature(power_density: float) -> float:
     """Blackbody temperature giving the emitted power density: T = (P/sigma)^(1/4)."""
     if power_density < 0:
-        raise NegativeRadiance(f"power density {power_density}")
+        raise OutOfRange(f"power density {power_density} is negative")
     temperature = (power_density / STEFAN_BOLTZMANN) ** 0.25
     if not temperature < math.inf:  # NaN or inf given, or P / sigma past float range
         raise OutOfRange(f"power density {power_density} gives temperature {temperature}")

@@ -16,12 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BadRadiusRange,
     ConfigInvalid,
     DegenerateHistogram,
     DimensionMismatch,
     EmptyDataset,
-    NonPositiveSigma,
     NotGrayscale,
     NotRGB,
     OutOfRange,
@@ -30,7 +28,7 @@ from .errors import (
 from .raster import Histogram, Image
 
 DEFAULT_EXG_THRESHOLD = 20
-# largest Mexican-hat kernel radius, px; bounds the (2r+1)^2 kernel and the FFT's 2r padding
+# largest wavelet or Gabor kernel radius, px; bounds the (2r+1)^2 kernel and the FFT's 2r padding
 MAX_KERNEL_RADIUS = 256
 # most line-accumulator angles, a 0.05 degree step; bounds the (angles, edges) vote tables
 MAX_THETAS = 3600
@@ -72,8 +70,13 @@ class GaborParams:
     sigma: float             # Gaussian envelope scale, pixels
 
     def __post_init__(self):
-        if self.wavelength <= 0 or self.sigma <= 0:
-            raise ConfigInvalid("wavelength and sigma must be positive")
+        if not (0 < self.wavelength < math.inf and 0 < self.sigma < math.inf
+                and math.isfinite(self.orientation)):
+            raise ConfigInvalid(f"wavelength {self.wavelength} and sigma {self.sigma} must be "
+                                f"positive and finite, orientation {self.orientation} finite")
+        # gabor_kernel's radius ceil(3 * sigma / GABOR_ASPECT) passes the cap when its argument does
+        if 3.0 * (self.sigma / GABOR_ASPECT) > MAX_KERNEL_RADIUS:
+            raise ConfigInvalid(f"kernel radius outside 1..{MAX_KERNEL_RADIUS}: sigma {self.sigma}")
 
 
 def default_gabor_bank() -> list[GaborParams]:
@@ -97,7 +100,8 @@ def otsu_threshold(hist: Histogram) -> int:
         raise EmptyDataset("histogram is empty")
     nonzero = [v for v in range(256) if bins[v] > 0]
     if len(nonzero) == 1:
-        raise DegenerateHistogram(nonzero[0])
+        raise DegenerateHistogram(f"all mass in bin {nonzero[0]}; "
+                                  "between-class variance is 0 everywhere")
 
     total_sum = sum(v * bins[v] for v in nonzero)
     best_t = 0
@@ -146,7 +150,7 @@ def mexican_hat_kernel(sigma: float) -> np.ndarray:
     at the kernel's corner, raises OutOfRange before anything is built.
     """
     if not 0 < sigma < math.inf:
-        raise NonPositiveSigma(f"sigma {sigma}")
+        raise OutOfRange(f"sigma {sigma} must be positive and finite")
     # ceil(4 * sigma) passes an integer bound exactly when 4 * sigma does, and is >= 1
     if 4 * sigma > MAX_KERNEL_RADIUS:
         raise OutOfRange(f"kernel radius outside 1..{MAX_KERNEL_RADIUS}: sigma {sigma}")
@@ -289,7 +293,7 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1) -> l
     if not threshold >= 1:
         raise OutOfRange(f"threshold {threshold} must be at least 1")
     if not 0 < r_min <= r_max:
-        raise BadRadiusRange(f"r_min {r_min}, r_max {r_max}")
+        raise OutOfRange(f"need 0 < r_min <= r_max, got {r_min} and {r_max}")
     ys, xs = np.divmod(np.flatnonzero(np.frombuffer(edges.samples, np.uint8) == 255), edges.width)
     if len(xs) == 0:
         return []

@@ -9,6 +9,11 @@ import aerobot
 from aerobot import cli, errors
 
 SRC = Path(aerobot.__file__).parent
+# one class per kind of refusal; a number or size outside its stated bounds is OutOfRange
+FAMILY = {"AerobotError", "OutOfRange", "FileAccess", "BadMagic", "TruncatedData", "NotGrayscale",
+          "NotRGB", "DegenerateHistogram", "ZeroVariance", "DimensionMismatch", "NonBipolarPattern",
+          "NonConvergent", "EmptyDataset", "NoStripFound", "NoRuleFired", "ConfigInvalid",
+          "ParseError"}
 # the only raises outside the family: argparse's hook for a bad --layers value, and the
 # package __getattr__, whose AttributeError Python's attribute lookup relies on
 OUTSIDE_THE_FAMILY = {("cli.py", "argparse.ArgumentTypeError"), ("__init__.py", "AttributeError")}
@@ -34,7 +39,13 @@ def test_every_raise_names_an_aerobot_error_or_re_raises():
               if name is not None and name not in allowed
               and (path.name, name) not in OUTSIDE_THE_FAMILY]
     assert strays == []
-    assert len(allowed) > 20  # the walk saw the family
+    assert allowed == FAMILY
+
+
+def test_every_error_class_is_raised():
+    """An unused class would be a second name for a refusal some other class already makes."""
+    names = {name for path in SRC.glob("*.py") for _, name in raised(path)}
+    assert FAMILY - {"AerobotError"} - names == set()
 
 
 def test_the_family_is_a_value_error():
@@ -89,17 +100,34 @@ def names_read(node) -> set:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def public_names(stmt) -> list:
+    """Public names a top-level statement defines: a def or class, or an UPPER_CASE constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name) and n.id.isupper()]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_name_has_a_caller():
-    """Each public top-level def or class is read outside its own definition: by the
-    package, perfbench or the acceptance tests, not by the unit tests alone."""
+    """Each public top-level def, class or UPPER_CASE constant is read outside its own
+    definition: by the package, perfbench or the acceptance tests, not by the unit tests
+    alone."""
     callers = [ast.parse(p.read_text(), str(p)) for p in
                sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]]
     statements = [stmt for p in sorted(SRC.glob("*.py"))
                   for stmt in ast.parse(p.read_text(), str(p)).body]
     reads = [names_read(stmt) for stmt in statements + callers]
-    uncalled = [stmt.name for i, stmt in enumerate(statements)
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not stmt.name.startswith("_")
-                and not any(stmt.name in r for j, r in enumerate(reads) if j != i)]
+    uncalled = [name for i, stmt in enumerate(statements) for name in public_names(stmt)
+                if not any(name in r for j, r in enumerate(reads) if j != i)]
     assert len(statements) > 100  # the walk saw the package
     assert sorted(uncalled) == sorted(UNCALLED_API)
+
+
+def test_the_caller_audit_sees_constants():
+    tree = ast.parse("A_B = 1\n_C = 2\nd = 3\nE: int = 4\nF, _G = 5, 6\ndef h():\n    pass\n")
+    assert [name for stmt in tree.body for name in public_names(stmt)] == ["A_B", "E", "F", "h"]

@@ -7,11 +7,11 @@ import pytest
 
 from aerobot import neural
 from aerobot.errors import (
-    BadTopology,
     DimensionMismatch,
     EmptyDataset,
     NonBipolarPattern,
     NonConvergent,
+    OutOfRange,
 )
 from aerobot.neural import (
     LEAKY_RELU,
@@ -94,11 +94,12 @@ class TestMlp:
             assert w.min() >= -0.5 and w.max() <= 0.5
 
     def test_zero_size_layer_rejected(self):
-        with pytest.raises(BadTopology):
+        with pytest.raises(OutOfRange, match=r"^layer sizes \(2, 0, 1\): need at least 3 "
+                                             r"layers, each of size >= 1$"):
             mlp_init((2, 0, 1), Activation(SIGMOID), 0)
 
     def test_too_few_layers_rejected(self):
-        with pytest.raises(BadTopology):
+        with pytest.raises(OutOfRange, match=r"^layer sizes \(2, 1\): need at least 3 layers"):
             mlp_init((2, 1), Activation(SIGMOID), 0)
 
     def test_forward_zero_weights_sigmoid(self):
@@ -195,9 +196,9 @@ class TestMlp:
         n = (MAX_PARAMETERS - 2) // 2
         with pytest.raises(Allocated):
             mlp_init((1, 1, n), Activation(SIGMOID), 0)
-        with pytest.raises(BadTopology, match=f"{MAX_PARAMETERS + 1} weights"):
+        with pytest.raises(OutOfRange, match=f"^{MAX_PARAMETERS + 1} weights and biases, above"):
             mlp_init((2, 1, n), Activation(SIGMOID), 0)
-        with pytest.raises(BadTopology):
+        with pytest.raises(OutOfRange, match=f"above the budget of {MAX_PARAMETERS}$"):
             mlp_init((2, 200_000, 200_000, 1), Activation(SIGMOID), 0)
 
 

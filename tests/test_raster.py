@@ -6,9 +6,8 @@ import pytest
 from aerobot import raster
 from aerobot.errors import (
     BadMagic,
-    MaxvalUnsupported,
-    NonPositiveDimensions,
     NotGrayscale,
+    OutOfRange,
     TruncatedData,
 )
 from aerobot.raster import Histogram, Image, histogram, parse_pnm, to_grayscale, write_pnm
@@ -190,15 +189,15 @@ class TestParse:
             parse_pnm(b"P2\n2 2\n255\n1 2 3\n")
 
     def test_maxval_over_255(self):
-        with pytest.raises(MaxvalUnsupported):
+        with pytest.raises(OutOfRange, match=r"^maxval 65535 outside 1\.\.255$"):
             parse_pnm(b"P5\n1 1\n65535\n\x00\x00")
 
     def test_maxval_zero(self):
-        with pytest.raises(MaxvalUnsupported):
+        with pytest.raises(OutOfRange, match=r"^maxval 0 outside 1\.\.255$"):
             parse_pnm(b"P5\n1 1\n0\n\x00")
 
     def test_non_positive_dimensions(self):
-        with pytest.raises(NonPositiveDimensions):
+        with pytest.raises(OutOfRange, match="^width and height must be positive, got 0x3$"):
             parse_pnm(b"P5\n0 3\n255\n")
 
     def test_ascii_sample_out_of_range(self):

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,11 +15,9 @@ from hypothesis.extra.numpy import arrays
 import aerobot
 from aerobot import vision
 from aerobot.errors import (
-    BadRadiusRange,
+    ConfigInvalid,
     DegenerateHistogram,
     EmptyDataset,
-    NegativeRadiance,
-    NonPositiveSigma,
     NotGrayscale,
     NotRGB,
     OutOfRange,
@@ -27,6 +26,7 @@ from aerobot.errors import (
 from aerobot.raster import Histogram, Image, histogram
 from aerobot.thermal import STEFAN_BOLTZMANN, radiance_to_temperature, temperature_to_radiance
 from aerobot.vision import (
+    GABOR_ASPECT,
     MAX_KERNEL_RADIUS,
     MAX_THETAS,
     GaborParams,
@@ -87,9 +87,9 @@ class TestOtsu:
         assert otsu_threshold(h) == 50
 
     def test_degenerate_single_bin(self):
-        with pytest.raises(DegenerateHistogram) as err:
+        with pytest.raises(DegenerateHistogram,
+                           match="^all mass in bin 7; between-class variance is 0 everywhere$"):
             otsu_threshold(spikes(v7=42))
-        assert err.value.value == 7
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
@@ -227,7 +227,7 @@ class TestMexicanHat:
 
     def test_rejects_non_positive_sigma(self):
         for sigma in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(NonPositiveSigma):
+            with pytest.raises(OutOfRange, match=f"^sigma {sigma} must be positive and finite$"):
                 mexican_hat_kernel(sigma)
 
     def test_radius_bound_edge(self):
@@ -752,9 +752,9 @@ class TestHoughCircles:
         assert hough_circles(gray(np.zeros((9, 9))), 2, 4) == []
 
     def test_bad_radius_range(self):
-        with pytest.raises(BadRadiusRange):
+        with pytest.raises(OutOfRange, match="^need 0 < r_min <= r_max, got 5 and 3$"):
             hough_circles(gray(np.zeros((9, 9))), 5, 3)
-        with pytest.raises(BadRadiusRange):
+        with pytest.raises(OutOfRange, match="^need 0 < r_min <= r_max, got 0 and 3$"):
             hough_circles(gray(np.zeros((9, 9))), 0, 3)
 
 
@@ -943,8 +943,21 @@ class TestGabor:
             gabor_bank(gray(np.zeros((4, 4))), [])
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            GaborParams(wavelength=0.0, orientation=0.0, sigma=1.0)
+        for field, value in [("wavelength", 0.0), ("wavelength", -1.0), ("wavelength", math.nan),
+                             ("wavelength", math.inf), ("orientation", math.nan),
+                             ("orientation", -math.inf), ("sigma", 0.0), ("sigma", math.nan),
+                             ("sigma", math.inf)]:
+            params = {"wavelength": 8.0, "orientation": 0.0, "sigma": 4.0, field: value}
+            with pytest.raises(ConfigInvalid, match=f"{field} {value}"):
+                GaborParams(**params)
+
+    def test_kernel_radius_cap(self):
+        # the radius is ceil(3 * sigma / GABOR_ASPECT); only construction runs, allocating nothing
+        GaborParams(8.0, 0.0, (MAX_KERNEL_RADIUS - 1) * GABOR_ASPECT / 3)
+        for sigma in ((MAX_KERNEL_RADIUS + 1) * GABOR_ASPECT / 3, 1e308):
+            bound = f"outside 1..{MAX_KERNEL_RADIUS}: sigma {sigma}"
+            with pytest.raises(ConfigInvalid, match=re.escape(bound)):
+                GaborParams(8.0, 0.0, sigma)
 
 
 class TestPca:
@@ -1025,7 +1038,7 @@ class TestThermal:
         assert all(b > a for a, b in zip(powers, powers[1:]))
 
     def test_negative_radiance(self):
-        with pytest.raises(NegativeRadiance):
+        with pytest.raises(OutOfRange, match="^power density -1.0 is negative$"):
             radiance_to_temperature(-1.0)
 
     def test_negative_temperature(self):
