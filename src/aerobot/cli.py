@@ -190,7 +190,7 @@ def _cmd_nn_demo(args) -> int:
         _emit({"mode": "diagnose", "layers": list(sizes),
                "activation": args.activation, "seed": args.seed,
                "layer_mean_abs_grad": list(report.layer_mean_abs_grad),
-               "dead_neurons": [list(d) for d in report.dead_neurons()]})
+               "dead_neurons": [list(d) for d in report.dead_neurons]})
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ the host's BLAS kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,12 +69,11 @@ class Activation:
 
 @dataclass
 class Mlp:
-    """Fully connected net; weights[i] maps layer i to layer i+1."""
+    """Fully connected net; weights[i], shaped (n_{i+1}, n_i), maps layer i to layer i+1."""
 
-    layer_sizes: tuple
     activation: Activation
-    weights: list = field(repr=False, default_factory=list)
-    biases: list = field(repr=False, default_factory=list)
+    weights: list
+    biases: list
 
 
 def mlp_init(layer_sizes, activation: Activation, seed: int) -> Mlp:
@@ -90,13 +89,14 @@ def mlp_init(layer_sizes, activation: Activation, seed: int) -> Mlp:
     rng = np.random.default_rng(seed)
     weights = [rng.uniform(-0.5, 0.5, size=(sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
     biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-    return Mlp(sizes, activation, weights, biases)
+    return Mlp(activation, weights, biases)
 
 
 def _forward(net: Mlp, x: np.ndarray):
     """Pre-activations and activations (input included) of one input (n0,) or a batch (rows, n0)."""
-    if x.shape[-1:] != (net.layer_sizes[0],):
-        raise DimensionMismatch(f"input shaped {x.shape}, expected (..., {net.layer_sizes[0]})")
+    n_in = net.weights[0].shape[1]
+    if x.shape[-1:] != (n_in,):
+        raise DimensionMismatch(f"input shaped {x.shape}, expected (..., {n_in})")
     activations = [x]
     pre = []
     for w, b in zip(net.weights, net.biases):
@@ -127,7 +127,7 @@ def _gradients(net: Mlp, x: np.ndarray, target: np.ndarray):
 
     x is (rows, n0) and target (rows, n_out): one forward and one backward pass.
     """
-    if x.ndim != 2 or target.shape != (len(x), net.layer_sizes[-1]):
+    if x.ndim != 2 or target.shape != (len(x), len(net.biases[-1])):
         raise DimensionMismatch(f"inputs shaped {x.shape} and targets {target.shape}")
     pre, acts = _forward(net, x)
     rows, n_out = target.shape
@@ -195,19 +195,10 @@ def gradient_check(net: Mlp, x, target) -> float:
 
 @dataclass(frozen=True)
 class GradientReport:
-    """Per-weight-layer mean |gradient| and per-neuron dead flags."""
+    """Per-weight-layer mean |gradient| and the dead units, in layer then neuron order."""
 
     layer_mean_abs_grad: tuple
-    dead: tuple  # tuple per non-input layer of per-neuron booleans
-
-    def dead_neurons(self) -> list[tuple[int, int]]:
-        """(layer, neuron) pairs, layers numbered from 1 (first hidden)."""
-        found = []
-        for li, flags in enumerate(self.dead, start=1):
-            for ni, flag in enumerate(flags):
-                if flag:
-                    found.append((li, ni))
-        return found
+    dead_neurons: tuple  # (layer, neuron) pairs, layers numbered from 1 (first hidden)
 
 
 def diagnose(net: Mlp, dataset) -> GradientReport:
@@ -221,9 +212,10 @@ def diagnose(net: Mlp, dataset) -> GradientReport:
     x = _matrix(dataset, "input")
     if len(x) == 0:
         raise EmptyDataset("dataset is empty")
-    grads_w, _, _, pre = _gradients(net, x, np.zeros((len(x), net.layer_sizes[-1])))
+    grads_w, _, _, pre = _gradients(net, x, np.zeros((len(x), len(net.biases[-1]))))
     relu = net.activation.kind == RELU
-    dead = tuple(tuple(((z < 0.0).all(axis=0) & relu).tolist()) for z in pre)
+    dead = tuple((li, int(ni)) for li, z in enumerate(pre, start=1)
+                 for ni in np.flatnonzero((z < 0.0).all(axis=0) & relu))
     means = tuple(float(np.mean(np.abs(g))) for g in grads_w)
     return GradientReport(means, dead)
 

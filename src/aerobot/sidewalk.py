@@ -43,18 +43,6 @@ def sidewalk_memory() -> HopfieldNet:
     return hopfield_train(FUNDAMENTAL_PATTERNS)
 
 
-@dataclass(frozen=True, eq=False)
-class BlockStrip:
-    """Read-only mean intensity in [0, 1] of each block, left to right.
-
-    Block j is the block_length square at row band_top, column j*block_length.
-    """
-
-    means: np.ndarray
-    band_top: int
-    block_length: int
-
-
 @dataclass(frozen=True)
 class PaintDecision:
     """Verdict for one segment; paint_blocks holds global block indices."""
@@ -103,19 +91,21 @@ class InspectionReport:
         }
 
 
-def extract_strip(img: Image, sigma: float = 2.0, block_length: int = 8) -> BlockStrip:
+def extract_strip(img: Image, config: InspectConfig) -> tuple[np.ndarray, int]:
     """Locate the band with the strongest wavelet response and split it.
 
-    The band is block_length rows tall; the window of rows maximizing the
-    summed |response| wins. Raises NoStripFound when the winner's mean
-    |response| per pixel stays under MIN_RESPONSE (flat images).
+    The band is config.block_length rows tall; the window of rows maximizing
+    the summed |response| wins. Returns the read-only mean intensity in [0, 1]
+    of each block, left to right, and the band's top row: block j is the
+    block_length square at row band_top, column j*block_length. Raises
+    NoStripFound when the winner's mean |response| per pixel stays under
+    MIN_RESPONSE (flat images).
     """
-    if block_length < 1:
-        raise ConfigInvalid(f"block_length {block_length} below 1")
+    block_length = config.block_length
     gray = to_grayscale(img)
     if gray.height <= block_length or gray.width < block_length:
         raise OutOfRange(f"frame {gray.width}x{gray.height} too small for block {block_length}")
-    response = wavelet_response(gray, sigma)
+    response = wavelet_response(gray, config.sigma)
     row_strength = np.abs(response.values).sum(axis=1)
     window = np.convolve(row_strength, np.ones(block_length), mode="valid")
     top = int(np.argmax(window))
@@ -127,7 +117,7 @@ def extract_strip(img: Image, sigma: float = 2.0, block_length: int = 8) -> Bloc
     # block sums are integers below 2**53, so any summation order is exact
     means = band.reshape(block_length, n, block_length).mean(axis=(0, 2)) / 255.0
     means.flags.writeable = False
-    return BlockStrip(means, top, block_length)
+    return means, top
 
 
 def encode_ternary(means) -> np.ndarray:
@@ -160,8 +150,8 @@ def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[Inspec
     in a grayscale copy of the source.
     """
     gray = to_grayscale(img)
-    strip = extract_strip(gray, config.sigma, config.block_length)
-    codes = encode_ternary(strip.means).tolist()
+    means, band_top = extract_strip(gray, config)
+    codes = encode_ternary(means).tolist()
     decisions = []
     flagged = set()
     for start in range(len(codes) - 2):
@@ -170,16 +160,16 @@ def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[Inspec
         flagged.update(decision.paint_blocks)
 
     overlay_arr = gray.to_array().copy()
-    length = strip.block_length
+    length = config.block_length
     for idx in flagged:
-        box = overlay_arr[strip.band_top:strip.band_top + length,
+        box = overlay_arr[band_top:band_top + length,
                           idx * length:(idx + 1) * length]
         box[[0, -1], :] = 255
         box[:, [0, -1]] = 255
     overlay = Image.from_array(overlay_arr)
 
     report = InspectionReport(tuple(decisions), tuple(sorted(flagged)),
-                              strip.band_top, length, len(codes))
+                              band_top, length, len(codes))
     return report, overlay
 
 

@@ -223,13 +223,13 @@ def test_criterion_08_pathology_diagnostics():
     relu_net.weights[0][:] = 0.01
     relu_net.biases[0][:] = -10.0
     inputs = [(0.0, 0.0), (1.0, 1.0), (0.3, 0.8)]
-    relu_dead = diagnose(relu_net, inputs).dead_neurons()
+    relu_dead = diagnose(relu_net, inputs).dead_neurons
     assert len(relu_dead) >= 1
 
     leaky_net = mlp_init((2, 3, 1), Activation(LEAKY_RELU), 5)
     leaky_net.weights[0][:] = 0.01
     leaky_net.biases[0][:] = -10.0
-    assert diagnose(leaky_net, inputs).dead_neurons() == []
+    assert diagnose(leaky_net, inputs).dead_neurons == ()
 
     deep = mlp_init((4,) + (8,) * 9 + (2,), Activation(SIGMOID), 1)
     rng = np.random.default_rng(1)

@@ -236,21 +236,21 @@ class TestDiagnose:
         net.weights[0][:] = 0.01
         net.biases[0][:] = -10.0
         report = diagnose(net, [(0.0, 0.0), (1.0, 1.0), (0.5, 0.2)])
-        assert all(report.dead[0])
-        assert len(report.dead_neurons()) >= 3
+        assert {(1, n) for n in range(3)} <= set(report.dead_neurons)
+        assert len(report.dead_neurons) >= 3
 
     def test_leaky_never_dead(self):
         net = mlp_init((2, 3, 1), Activation(LEAKY_RELU), 5)
         net.weights[0][:] = 0.01
         net.biases[0][:] = -10.0
         report = diagnose(net, [(0.0, 0.0), (1.0, 1.0), (0.5, 0.2)])
-        assert report.dead_neurons() == []
+        assert report.dead_neurons == ()
 
     def test_sigmoid_never_dead(self):
         net = mlp_init((2, 3, 1), Activation(SIGMOID), 5)
         net.biases[0][:] = -50.0
         report = diagnose(net, [(0.0, 0.0)])
-        assert report.dead_neurons() == []
+        assert report.dead_neurons == ()
 
     def test_vanishing_gradient_deep_sigmoid(self):
         # measured run: layer-1 mean |grad| 1.8e-9 vs layer-10 5.5e-2, seed 1
@@ -288,7 +288,7 @@ def forward_oracle(net, x):
 
 def backprop_oracle(net, x, target):
     pre, acts = forward_oracle(net, x)
-    n_out = net.layer_sizes[-1]
+    n_out = len(net.biases[-1])
     delta = 2.0 * (acts[-1] - target) / n_out * net.activation.deriv(pre[-1])
     grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.biases)
@@ -319,20 +319,21 @@ def batch_gradients_oracle(net, batch):
 
 def diagnose_oracle(net, dataset):
     inputs = [np.asarray(x, dtype=np.float64) for x in dataset]
-    n_layers = len(net.weights)
-    always_negative = [np.ones(net.layer_sizes[i + 1], dtype=bool) for i in range(n_layers)]
+    always_negative = [np.ones(len(b), dtype=bool) for b in net.biases]
     for x in inputs:
         pre, _ = forward_oracle(net, x)
         for i, z in enumerate(pre):
             always_negative[i] &= z < 0.0
+    dead = []
     if net.activation.kind == RELU:
-        dead = tuple(tuple(bool(f) for f in flags) for flags in always_negative)
-    else:
-        dead = tuple(tuple(False for _ in flags) for flags in always_negative)
-    zero_target = np.zeros(net.layer_sizes[-1])
+        for layer, flags in enumerate(always_negative, start=1):
+            for neuron, flag in enumerate(flags):
+                if flag:
+                    dead.append((layer, neuron))
+    zero_target = np.zeros(len(net.biases[-1]))
     grads_w, _, _ = batch_gradients_oracle(net, [(x, zero_target) for x in inputs])
     means = tuple(float(np.mean(np.abs(g))) for g in grads_w)
-    return GradientReport(means, dead)
+    return GradientReport(means, tuple(dead))
 
 
 def sweep_cases(count=300):
@@ -375,7 +376,7 @@ class TestBatchMatchesPerExampleOracle:
     def test_diagnose(self):
         for net, x, _ in sweep_cases():
             got, want = diagnose(net, x), diagnose_oracle(net, x)
-            assert got.dead == want.dead
+            assert got.dead_neurons == want.dead_neurons
             np.testing.assert_allclose(got.layer_mean_abs_grad, want.layer_mean_abs_grad,
                                        rtol=self.RTOL, atol=0.0)
 

@@ -150,12 +150,11 @@ class TestGenerator:
 class TestExtractStrip:
     def test_band_located_and_partitioned(self):
         params = SidewalkParams()
-        strip = extract_strip(generate_sidewalk(params), sigma=2.0, block_length=8)
-        assert strip.band_top == params.band_top
-        assert strip.block_length == 8
-        assert strip.means.shape == (12,)
+        means, band_top = extract_strip(generate_sidewalk(params), InspectConfig(2.0, 8))
+        assert band_top == params.band_top
+        assert means.shape == (12,)
         # alternating bright/dark: 230/255 and 25/255
-        for j, mean in enumerate(strip.means):
+        for j, mean in enumerate(means):
             expected = 230 / 255 if j % 2 == 0 else 25 / 255
             assert mean == pytest.approx(expected, abs=0.02)
 
@@ -163,13 +162,13 @@ class TestExtractStrip:
         # block j is exactly the square at columns j*L..(j+1)*L of the band
         arr = generate_sidewalk(SidewalkParams(noise_sigma=20.0), seed=3).to_array()
         arr = np.pad(arr, ((0, 0), (0, 5)), constant_values=128)  # partial block
-        strip = extract_strip(Image.from_array(arr), 2.0, 8)
-        band = arr[strip.band_top:strip.band_top + 8].astype(np.float64)
-        assert strip.means.dtype == np.float64 and strip.means.shape == (12,)
-        for j, mean in enumerate(strip.means):
+        means, band_top = extract_strip(Image.from_array(arr), InspectConfig(2.0, 8))
+        band = arr[band_top:band_top + 8].astype(np.float64)
+        assert means.dtype == np.float64 and means.shape == (12,)
+        for j, mean in enumerate(means):
             assert mean == band[:, 8 * j:8 * j + 8].mean() / 255.0
-        assert np.all((0.0 <= strip.means) & (strip.means <= 1.0))
-        assert not strip.means.flags.writeable
+        assert np.all((0.0 <= means) & (means <= 1.0))
+        assert not means.flags.writeable
 
     def test_floor_falls_between_two_integer_contrasts(self):
         # alternating blocks at 128 +/- delta on a flat 128 ground: the winning band's
@@ -190,23 +189,23 @@ class TestExtractStrip:
             assert band_strength(frame(delta)) == pytest.approx(delta * unit, rel=1e-9)
         assert 7 * unit < 1.0 < 8 * unit
         with pytest.raises(NoStripFound):
-            extract_strip(frame(7), 0.5, 16)
-        assert extract_strip(frame(8), 0.5, 16).band_top == 16
+            extract_strip(frame(7), InspectConfig(0.5, 16))
+        assert extract_strip(frame(8), InspectConfig(0.5, 16))[1] == 16
 
     def test_constant_image_raises(self):
         img = Image.from_array(np.full((48, 96), 128, np.uint8))
         with pytest.raises(NoStripFound):
-            extract_strip(img, 2.0, 8)
+            extract_strip(img, InspectConfig(2.0, 8))
 
     def test_image_smaller_than_block(self):
         img = Image.from_array(np.zeros((6, 96), np.uint8))
         with pytest.raises(ValueError):
-            extract_strip(img, 2.0, 8)
+            extract_strip(img, InspectConfig(2.0, 8))
 
     @pytest.mark.parametrize("block_length", [0, -8])
     def test_block_length_below_one_is_config_invalid(self, block_length):
         with pytest.raises(ConfigInvalid, match="block_length"):
-            extract_strip(generate_sidewalk(SidewalkParams()), 2.0, block_length)
+            InspectConfig(2.0, block_length)
 
 
 class TestEncodeTernary:
