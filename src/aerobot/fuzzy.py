@@ -81,13 +81,17 @@ class FuzzyVariable:
     def __post_init__(self):
         object.__setattr__(self, "sets", MappingProxyType(dict(self.sets)))
         lo, hi = self.universe
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigInvalid(f"universe {self.universe} is empty or not finite")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and hi - lo < math.inf):
+            raise ConfigInvalid(f"universe {self.universe} is empty, not finite or too wide")
         if len(self.sets) < 2:
             raise ConfigInvalid(f"variable {self.name!r} needs >= 2 labels")
         for label, mf in self.sets.items():
-            if mf.points[0] < lo or mf.points[-1] > hi:
+            a, b, c, d = mf.points
+            if a < lo or d > hi:
                 raise ConfigInvalid(f"{self.name}.{label} breakpoints leave the universe")
+            # the degree (x - a) / (b - a) of any x in the universe stays finite
+            if any(w > 0.0 and (hi - lo) / w == math.inf for w in (b - a, d - c)):
+                raise ConfigInvalid(f"{self.name}.{label} is too steep for its universe")
 
     def clamp(self, x):
         lo, hi = self.universe
@@ -121,12 +125,18 @@ class FuzzySystem:
         object.__setattr__(self, "outputs", MappingProxyType({v.name: v for v in self.outputs}))
         object.__setattr__(self, "rules", tuple(self.rules))
         for rule in self.rules:
+            if not rule.antecedents:
+                raise ConfigInvalid(f"rule for {rule.consequent} has no antecedents")
             for var, label in rule.antecedents:
                 if var not in self.inputs or label not in self.inputs[var].sets:
                     raise ConfigInvalid(f"unknown antecedent {var}.{label}")
             var, label = rule.consequent
             if var not in self.outputs or label not in self.outputs[var].sets:
                 raise ConfigInvalid(f"unknown consequent {var}.{label}")
+        for var in self.outputs.values():
+            # the centroid sums samples values of |y| <= max(|lo|, |hi|)
+            if self.samples * max(map(abs, var.universe)) == math.inf:
+                raise ConfigInvalid(f"{self.samples} samples of {var.name!r} overflow the centroid")
         object.__setattr__(self, "_stacks", {name: (tuple(var.sets),) + _curve_stack(
             tuple(var.universe), tuple(tuple(mf.points) for mf in var.sets.values()), self.samples)
             for name, var in self.outputs.items()})

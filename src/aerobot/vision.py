@@ -77,6 +77,14 @@ class GaborParams:
         # gabor_kernel's radius ceil(3 * sigma / GABOR_ASPECT) passes the cap when its argument does
         if 3.0 * (self.sigma / GABOR_ASPECT) > MAX_KERNEL_RADIUS:
             raise ConfigInvalid(f"kernel radius outside 1..{MAX_KERNEL_RADIUS}: sigma {self.sigma}")
+        # an infinite exponent x^2/2sigma^2 or carrier phase 2 pi x/wavelength makes the kernel
+        # NaN; a corner tap has x^2 <= 2 radius^2, so x = 2 radius bounds both with room to round
+        radius = math.ceil(3.0 * (self.sigma / GABOR_ASPECT))
+        two_s2 = 2.0 * self.sigma ** 2
+        if (two_s2 == 0.0 or (2.0 * radius) ** 2 / two_s2 == math.inf
+                or 2.0 * math.pi * (2.0 * radius) / self.wavelength == math.inf):
+            raise ConfigInvalid(f"sigma {self.sigma} or wavelength {self.wavelength} too small: "
+                                f"the kernel overflows at radius {radius}")
 
 
 def default_gabor_bank() -> list[GaborParams]:
@@ -344,9 +352,7 @@ def circle_hits_csv(hits: list[CircleHit]) -> str:
 
 def gabor_kernel(p: GaborParams) -> np.ndarray:
     """Sampled real Gabor kernel, mean-shifted so flat regions give no response."""
-    sigma_x = p.sigma
-    sigma_y = p.sigma / GABOR_ASPECT
-    radius = max(1, math.ceil(3.0 * max(sigma_x, sigma_y)))
+    radius = math.ceil(3.0 * (p.sigma / GABOR_ASPECT))
     offs = np.arange(-radius, radius + 1, dtype=np.float64)
     yy, xx = np.meshgrid(offs, offs, indexing="ij")
     c, s = math.cos(p.orientation), math.sin(p.orientation)

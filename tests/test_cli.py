@@ -468,6 +468,13 @@ def with_wind_input(text: str) -> str:
     return json.dumps(doc)
 
 
+def edited_dosing(edit) -> bytes:
+    """The dosing rulebase bytes after edit(doc) changes the parsed document in place."""
+    doc = json.loads(DOSING_JSON)
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
 NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
 CURB = ["inspect-sidewalk", "{curb}", "--overlay", "{out}.pgm", "--report", "{out}.json",
         "--sigma"]
@@ -485,6 +492,16 @@ HOSTILE = {
                          "ConfigInvalid"),
     "dose-input-wind": (["dose", "{field}", "--system", "{doc}"],
                         with_wind_input(DOSING_JSON).encode(), "ConfigInvalid"),
+    "dose-rule-without-if": (["dose", "{field}", "--system", "{doc}"], edited_dosing(
+        lambda d: d["rules"].append({"if": [], "then": ["dose", "small"]})), "ParseError"),
+    # floats whose centroid sum, universe width or membership slope overflows
+    "dose-universe-0-1.7e308": (["dose", "{field}", "--system", "{doc}"], edited_dosing(
+        lambda d: d["outputs"][0].update(universe=[0.0, 1.7e308])), "ParseError"),
+    "dose-rise-1e-320": (["dose", "{field}", "--system", "{doc}"], edited_dosing(
+        lambda d: d["outputs"][0]["sets"]["small"].update(points=[0.0, 1e-320, 5.0])),
+        "ParseError"),
+    "dose-universe-pm-1.7e308": (["dose", "{field}", "--system", "{doc}"], edited_dosing(
+        lambda d: d["outputs"][0].update(universe=[-1.7e308, 1.7e308])), "ParseError"),
     "sigma-1e-300": (CURB + ["1e-300"], None, "OutOfRange"),
     "sigma-1e-155": (CURB + ["1e-155"], None, "OutOfRange"),
     "sigma-5e-324": (CURB + ["5e-324"], None, "OutOfRange"),

@@ -132,11 +132,23 @@ class TestFuzzify:
         with pytest.raises(ValueError):
             FuzzyVariable("x", (0.0, 1.0), {"only": MembershipFunction.triangle(0, 0.5, 1)})
 
-    @pytest.mark.parametrize("universe", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+    # the last universe has finite bounds but a width hi - lo past float range
+    @pytest.mark.parametrize("universe", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
+                                          (-1.7e308, 1.7e308)])
     def test_universe_must_be_finite(self, universe):
         with pytest.raises(ValueError, match="not finite"):
             FuzzyVariable("x", universe, {"a": MembershipFunction.triangle(0, 0, 1),
                                           "b": MembershipFunction.triangle(0, 1, 1)})
+
+    def test_slope_over_the_universe_must_be_finite(self):
+        # the degree (x - a) / (b - a) reaches 1 / 1e-320 at x = 1
+        flat = MembershipFunction.triangle(0.0, 1.0, 1.0)
+        FuzzyVariable("x", (0.0, 1.0), {"a": MembershipFunction.triangle(0.0, 1e-300, 1.0),
+                                        "b": flat})
+        for steep in (MembershipFunction.triangle(0.0, 1e-320, 1.0),
+                      MembershipFunction.trapezoid(0.0, 0.0, 0.0, 1e-320)):
+            with pytest.raises(ConfigInvalid, match="too steep"):
+                FuzzyVariable("x", (0.0, 1.0), {"a": steep, "b": flat})
 
     def test_breakpoints_must_fit_universe(self):
         with pytest.raises(ValueError):
@@ -149,6 +161,23 @@ class TestFuzzify:
 def single_output_system(consequents, rules, samples=201):
     out = FuzzyVariable("y", (0.0, 1.0), consequents)
     return FuzzySystem([unit_variable()], [out], rules, samples=samples)
+
+
+class TestSystemChecks:
+    def test_rule_needs_an_antecedent(self):
+        consequents = {"mid": MembershipFunction.triangle(0.25, 0.5, 0.75),
+                       "low": MembershipFunction.triangle(0.0, 0.0, 0.25)}
+        with pytest.raises(ConfigInvalid, match="no antecedents"):
+            single_output_system(consequents, [Rule((), ("y", "mid"))])
+
+    def test_centroid_sum_must_be_finite(self):
+        # the centroid sums up to 201 samples of |y| <= hi before it divides
+        sets = {"lo": MembershipFunction.triangle(0, 0, 1),
+                "hi": MembershipFunction.triangle(0, 1, 1)}
+        rules = [Rule((("x", "lo"),), ("y", "lo"))]
+        FuzzySystem([unit_variable()], [FuzzyVariable("y", (0.0, 8e305), sets)], rules)
+        with pytest.raises(ConfigInvalid, match="overflow the centroid"):
+            FuzzySystem([unit_variable()], [FuzzyVariable("y", (0.0, 1.7e308), sets)], rules)
 
 
 class TestInfer:

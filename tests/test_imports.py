@@ -107,10 +107,12 @@ def test_submodules_resolve_to_the_imported_modules():
 
 
 def test_cli_literals_match_the_library():
-    from aerobot import neural, vision
+    from aerobot import neural, sidewalk, vision
     assert cli.DEFAULT_EXG_THRESHOLD == vision.DEFAULT_EXG_THRESHOLD
     args = cli.build_parser().parse_args(["green-density", "field.ppm"])
     assert args.threshold == vision.DEFAULT_EXG_THRESHOLD
+    args = cli.build_parser().parse_args(["inspect-sidewalk", "curb.pgm"])
+    assert sidewalk.InspectConfig(args.sigma, args.block) == sidewalk.InspectConfig()
     assert sorted(cli._ACTIVATIONS.values()) == sorted(
         [neural.SIGMOID, neural.RELU, neural.LEAKY_RELU])
 

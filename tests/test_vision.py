@@ -4,6 +4,7 @@ import math
 import pkgutil
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -958,6 +959,20 @@ class TestGabor:
             bound = f"outside 1..{MAX_KERNEL_RADIUS}: sigma {sigma}"
             with pytest.raises(ConfigInvalid, match=re.escape(bound)):
                 GaborParams(8.0, 0.0, sigma)
+
+
+    @settings(max_examples=300)
+    @given(st.floats(), st.floats(), st.floats(max_value=4.0))
+    def test_params_that_build_give_a_finite_kernel(self, wavelength, orientation, sigma):
+        try:
+            params = GaborParams(wavelength, orientation, sigma)
+        except ConfigInvalid:
+            return
+        with np.errstate(divide="raise", over="raise", invalid="raise"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = gabor_kernel(params)
+        assert np.isfinite(kernel).all()
 
 
 class TestPca:
