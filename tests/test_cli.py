@@ -494,7 +494,7 @@ HOSTILE = {
                         with_wind_input(DOSING_JSON).encode(), "ConfigInvalid"),
     "dose-rule-without-if": (["dose", "{field}", "--system", "{doc}"], edited_dosing(
         lambda d: d["rules"].append({"if": [], "then": ["dose", "small"]})), "ParseError"),
-    # floats whose centroid sum, universe width or membership slope overflows
+    # floats whose centroid sum, membership slope or universe width overflows
     "dose-universe-0-1.7e308": (["dose", "{field}", "--system", "{doc}"], edited_dosing(
         lambda d: d["outputs"][0].update(universe=[0.0, 1.7e308])), "ParseError"),
     "dose-rise-1e-320": (["dose", "{field}", "--system", "{doc}"], edited_dosing(

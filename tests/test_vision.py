@@ -960,7 +960,6 @@ class TestGabor:
             with pytest.raises(ConfigInvalid, match=re.escape(bound)):
                 GaborParams(8.0, 0.0, sigma)
 
-
     @settings(max_examples=300)
     @given(st.floats(), st.floats(), st.floats(max_value=4.0))
     def test_params_that_build_give_a_finite_kernel(self, wavelength, orientation, sigma):
