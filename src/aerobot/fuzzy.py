@@ -258,75 +258,50 @@ _ARM_DELTA_MAX_N = 5.0
 _TILT_DELTA_MAX_N = 4.2
 _TILT_UNIVERSE_RAD = 0.5
 
-def _proximity_variable() -> FuzzyVariable:
-    return FuzzyVariable("proximity", (0.0, 180.0), {
+def _ring_system(extent: FuzzyVariable, active: str, top: float, apex: float) -> FuzzySystem:
+    """Lift boost when the rotor is near the azimuth and `extent` reads `active`, else none."""
+    proximity = FuzzyVariable("proximity", (0.0, 180.0), {
         "near": MembershipFunction.triangle(0.0, 0.0, 112.5),
         "far": MembershipFunction.triangle(67.5, 180.0, 180.0),
     })
-
-
-def _lift_variable(name: str, top: float, apex: float, halfwidth: float) -> FuzzyVariable:
-    return FuzzyVariable(name, (0.0, top), {
+    lift = FuzzyVariable("lift", (0.0, top), {
         # the degenerate "none" spike keeps its centroid at exactly zero
         "none": MembershipFunction.triangle(0.0, 0.0, 0.0),
-        "boost": MembershipFunction.triangle(apex - halfwidth, apex, apex + halfwidth),
+        "boost": MembershipFunction.triangle(apex - 2.0, apex, apex + 2.0),
     })
+    rules = [Rule((("proximity", near), (extent.name, label)),
+                  ("lift", "boost" if (near, label) == ("near", active) else "none"))
+             for near in proximity.sets for label in extent.sets]
+    return FuzzySystem([proximity, extent], [lift], rules)
 
 
 @cache
 def arm_compensation_system() -> FuzzySystem:
     """Rotor lift boost from arm proximity (near/far) and extension (short/long)."""
-    proximity = _proximity_variable()
-    extension = FuzzyVariable("extension", (0.0, 1.0), {
+    return _ring_system(FuzzyVariable("extension", (0.0, 1.0), {
         "short": MembershipFunction.triangle(0.0, 0.0, 1.0),
         "long": MembershipFunction.triangle(0.0, 1.0, 1.0),
-    })
-    lift = _lift_variable("lift", _ARM_DELTA_MAX_N, 2.3, 2.0)
-    rules = (
-        Rule((("proximity", "near"), ("extension", "long")), ("lift", "boost")),
-        Rule((("proximity", "near"), ("extension", "short")), ("lift", "none")),
-        Rule((("proximity", "far"), ("extension", "long")), ("lift", "none")),
-        Rule((("proximity", "far"), ("extension", "short")), ("lift", "none")),
-    )
-    return FuzzySystem([proximity, extension], [lift], rules)
+    }), "long", _ARM_DELTA_MAX_N, 2.3)
 
 
 @cache
 def tilt_compensation_system() -> FuzzySystem:
     """Rotor lift boost from tilt magnitude (flat/tilted) and correction proximity."""
-    proximity = _proximity_variable()
-    tilt = FuzzyVariable("tilt", (0.0, _TILT_UNIVERSE_RAD), {
+    return _ring_system(FuzzyVariable("tilt", (0.0, _TILT_UNIVERSE_RAD), {
         "flat": MembershipFunction.triangle(0.0, 0.0, 0.06),
         "tilted": MembershipFunction.trapezoid(0.03, 0.12, 0.5, 0.5),
-    })
-    lift = _lift_variable("lift", _TILT_DELTA_MAX_N, 2.0, 2.0)
-    rules = (
-        Rule((("proximity", "near"), ("tilt", "tilted")), ("lift", "boost")),
-        Rule((("proximity", "near"), ("tilt", "flat")), ("lift", "none")),
-        Rule((("proximity", "far"), ("tilt", "tilted")), ("lift", "none")),
-        Rule((("proximity", "far"), ("tilt", "flat")), ("lift", "none")),
-    )
-    return FuzzySystem([proximity, tilt], [lift], rules)
-
-
-def _angular_distance(azimuths_deg: np.ndarray) -> np.ndarray:
-    """Unsigned angle in [0, 180] between each azimuth and each rotor, (B, 8)."""
-    diff = np.abs((azimuths_deg[:, None] - np.asarray(ROTOR_AZIMUTHS_DEG)[None, :]) % 360.0)
-    return np.where(diff > 180.0, 360.0 - diff, diff)
-
-
-def _antisymmetric(magnitudes: np.ndarray) -> np.ndarray:
-    """Per row, rotor i+4 gets the exact negation of rotor i's delta."""
-    half = N_ROTORS // 2
-    diff = magnitudes[:, :half] - magnitudes[:, half:]
-    return np.concatenate([diff, -diff], axis=1)
+    }), "tilted", _TILT_DELTA_MAX_N, 2.0)
 
 
 def _ring_deltas(system: FuzzySystem, azimuths: np.ndarray, name: str, values) -> np.ndarray:
-    """Zero-sum (B, 8) deltas of the lift inferred from each rotor's distance to each
-    azimuth and from input `name`, whose `values` broadcast against those distances."""
-    return _antisymmetric(_infer_batch(system, {
-        "proximity": _angular_distance(azimuths), name: values})["lift"])
+    """Zero-sum (B, 8) deltas of the lift inferred from each rotor's unsigned angle in
+    [0, 180] to each azimuth and from input `name`, whose `values` broadcast against
+    those angles. Per row, rotor i+4 gets the exact negation of rotor i's delta."""
+    diff = np.abs((azimuths[:, None] - np.asarray(ROTOR_AZIMUTHS_DEG)) % 360.0)
+    lift = _infer_batch(system, {
+        "proximity": np.where(diff > 180.0, 360.0 - diff, diff), name: values})["lift"]
+    half = lift[:, :N_ROTORS // 2] - lift[:, N_ROTORS // 2:]
+    return np.concatenate([half, -half], axis=1)
 
 
 _CHUNK_POSES = 1024  # x 8 rotors = 8192 rows cap the (labels, rows, samples) clipped stack

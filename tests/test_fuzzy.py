@@ -538,9 +538,24 @@ def infer_oracle(system, values):
     return {name: float(arr[0]) for name, arr in batch.items()}
 
 
+def rotor_angles(azimuth):
+    """Unsigned angle in [0, 180] from one azimuth to each rotor, rotor by rotor."""
+    angles = []
+    for i in range(N_ROTORS):
+        diff = math.fabs((azimuth - 45.0 * i) % 360.0)
+        angles.append(360.0 - diff if diff > 180.0 else diff)
+    return angles
+
+
+def mirrored(mags):
+    """Rotor i gets mags[i] - mags[i + 4], and rotor i + 4 its exact negation."""
+    half = [mags[i] - mags[i + N_ROTORS // 2] for i in range(N_ROTORS // 2)]
+    return half + [-d for d in half]
+
+
 def arm_deltas_oracle(azimuths, extensions, chunk_rows=16384):
-    az = np.asarray(azimuths, dtype=np.float64) % 360.0
-    proximity = fuzzy._angular_distance(az).reshape(-1)
+    proximity = np.array([angle for az in np.asarray(azimuths, dtype=np.float64).tolist()
+                          for angle in rotor_angles(az % 360.0)])
     extension = np.repeat(np.asarray(extensions, dtype=np.float64), N_ROTORS)
     mags = np.concatenate([
         infer_batch_oracle(arm_compensation_system(), {
@@ -548,16 +563,16 @@ def arm_deltas_oracle(azimuths, extensions, chunk_rows=16384):
             "extension": extension[start:start + chunk_rows],
         })["lift"]
         for start in range(0, len(proximity), chunk_rows)])
-    return fuzzy._antisymmetric(mags.reshape(-1, N_ROTORS))
+    return np.array([mirrored(row) for row in mags.reshape(-1, N_ROTORS).tolist()])
 
 
 def tilt_deltas_oracle(roll, pitch):
     azimuth = math.degrees(math.atan2(-roll, pitch)) % 360.0
     mags = infer_batch_oracle(tilt_compensation_system(), {
-        "proximity": fuzzy._angular_distance(np.array([azimuth])).reshape(-1),
+        "proximity": np.array(rotor_angles(azimuth)),
         "tilt": np.full(N_ROTORS, math.hypot(roll, pitch)),
     })["lift"]
-    return fuzzy._antisymmetric(mags.reshape(1, N_ROTORS))[0]
+    return np.array(mirrored(mags.tolist()))
 
 
 def random_points(rng, lo, hi):
