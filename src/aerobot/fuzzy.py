@@ -28,6 +28,17 @@ MAX_SAMPLES = 10_001
 ROTOR_AZIMUTHS_DEG = tuple(45.0 * i for i in range(N_ROTORS))
 
 
+def _floats(values, n: int, what: str) -> tuple:
+    """The caller's n numbers as floats; text, or a number past float range, is ConfigInvalid."""
+    try:
+        out = tuple(map(float, values))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{what} must be numbers in float range: {exc}") from exc
+    if len(out) != n or any(isinstance(v, (str, bytes)) for v in values):
+        raise ConfigInvalid(f"need {n} {what}, got {values!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class MembershipFunction:
     """Trapezoidal membership on breakpoints (a, b, c, d); a triangle has b == c."""
@@ -35,19 +46,18 @@ class MembershipFunction:
     points: tuple
 
     def __post_init__(self):
-        if len(self.points) != 4:
-            raise ConfigInvalid(f"need 4 breakpoints, got {len(self.points)}")
+        object.__setattr__(self, "points", _floats(self.points, 4, "breakpoints"))
         if (not all(map(math.isfinite, self.points))
                 or any(b < a for a, b in zip(self.points, self.points[1:]))):
             raise ConfigInvalid(f"breakpoints must be finite and non-decreasing: {self.points}")
 
     @classmethod
     def triangle(cls, a: float, b: float, c: float) -> "MembershipFunction":
-        return cls((float(a), float(b), float(b), float(c)))
+        return cls((a, b, b, c))
 
     @classmethod
     def trapezoid(cls, a: float, b: float, c: float, d: float) -> "MembershipFunction":
-        return cls((float(a), float(b), float(c), float(d)))
+        return cls((a, b, c, d))
 
     def __call__(self, x):
         """Degree of x: a float for a Python or numpy number, else an array."""
@@ -80,6 +90,7 @@ class FuzzyVariable:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", MappingProxyType(dict(self.sets)))
+        object.__setattr__(self, "universe", _floats(self.universe, 2, "universe bounds"))
         lo, hi = self.universe
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and hi - lo < math.inf):
             raise ConfigInvalid(f"universe {self.universe} is empty, not finite or too wide")
@@ -138,7 +149,7 @@ class FuzzySystem:
             if self.samples * max(map(abs, var.universe)) == math.inf:
                 raise ConfigInvalid(f"{self.samples} samples of {var.name!r} overflow the centroid")
         object.__setattr__(self, "_stacks", {name: (tuple(var.sets),) + _curve_stack(
-            tuple(var.universe), tuple(tuple(mf.points) for mf in var.sets.values()), self.samples)
+            var.universe, tuple(mf.points for mf in var.sets.values()), self.samples)
             for name, var in self.outputs.items()})
 
 
@@ -201,13 +212,13 @@ _FORMAT_VERSION = 1
 def _var_from_doc(doc: dict) -> FuzzyVariable:
     sets = {}
     for label, mf_doc in doc["sets"].items():
-        points = tuple(float(p) for p in mf_doc["points"])
+        points = tuple(mf_doc["points"])
         expected = {"triangle": 3, "trapezoid": 4}.get(mf_doc.get("shape"))
         if expected is None or len(points) != expected:
             raise ParseError(f"set {label!r} has bad shape/points")
         sets[label] = (MembershipFunction.triangle(*points) if expected == 3
                        else MembershipFunction(points))
-    return FuzzyVariable(doc["name"], tuple(doc["universe"]), sets)
+    return FuzzyVariable(doc["name"], doc["universe"], sets)
 
 
 def system_from_json(text: str) -> FuzzySystem:
@@ -311,8 +322,8 @@ def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
     """Zero-sum deltas (B, 8) for a series of arm poses."""
     az = np.atleast_1d(np.asarray(azimuths_deg, dtype=np.float64))
     ext = np.atleast_1d(np.asarray(extensions, dtype=np.float64))
-    if az.shape != ext.shape:
-        raise DimensionMismatch("azimuths and extensions must align")
+    if az.ndim != 1 or az.shape != ext.shape:
+        raise DimensionMismatch("azimuths and extensions must be aligned 1-D series")
     if not np.all(np.isfinite(az)):
         raise OutOfRange("azimuth is not finite")
     if not np.all((ext >= 0.0) & (ext <= 1.0)):  # NaN fails both comparisons

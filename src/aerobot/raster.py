@@ -52,7 +52,8 @@ class Image:
         else:
             raise DimensionMismatch(f"unsupported array shape {a.shape}")
         if a.dtype != np.uint8:
-            if a.min() < 0 or a.max() > 255:
+            # NaN fails both comparisons; an empty array meets the width and height check
+            if a.size and not (a.min() >= 0 and a.max() <= 255):
                 raise OutOfRange("sample values outside 0..255")
             a = a.astype(np.uint8)
         h, w = a.shape[:2]

@@ -502,6 +502,12 @@ HOSTILE = {
         "ParseError"),
     "dose-universe-pm-1.7e308": (["dose", "{field}", "--system", "{doc}"], edited_dosing(
         lambda d: d["outputs"][0].update(universe=[-1.7e308, 1.7e308])), "ParseError"),
+    # numbers written as JSON strings
+    "dose-points-as-text": (["dose", "{field}", "--system", "{doc}"], edited_dosing(
+        lambda d: d["outputs"][0]["sets"]["small"].update(points=["0", "1", "5"])),
+        "ParseError"),
+    "dose-universe-as-text": (["dose", "{field}", "--system", "{doc}"], edited_dosing(
+        lambda d: d["outputs"][0].update(universe="05")), "ParseError"),
     "sigma-1e-300": (CURB + ["1e-300"], None, "OutOfRange"),
     "sigma-1e-155": (CURB + ["1e-155"], None, "OutOfRange"),
     "sigma-5e-324": (CURB + ["5e-324"], None, "OutOfRange"),

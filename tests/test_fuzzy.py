@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aerobot import fuzzy
-from aerobot.errors import ConfigInvalid, NoRuleFired, ParseError
+from aerobot.errors import ConfigInvalid, DimensionMismatch, NoRuleFired, ParseError
 from aerobot.fuzzy import (
     MAX_SAMPLES,
     N_ROTORS,
@@ -99,6 +99,23 @@ class TestMembership:
             with pytest.raises(ConfigInvalid, match="4 breakpoints"):
                 MembershipFunction(points)
 
+    @pytest.mark.parametrize("points", [(0, 0, 1, 10**400), (-10**400, 0, 1, 2), (0, None, 1, 2),
+                                        (0, "0.5", 1, 2), "0123", 4])
+    def test_breakpoints_must_be_numbers_in_float_range(self, points):
+        with pytest.raises(ConfigInvalid):
+            MembershipFunction(points)
+
+    def test_shape_builders_refuse_numbers_past_float_range(self):
+        with pytest.raises(ConfigInvalid):
+            MembershipFunction.triangle(0, 1, 10**400)
+        with pytest.raises(ConfigInvalid):
+            MembershipFunction.trapezoid(-10**400, 0, 1, 2)
+
+    def test_breakpoints_are_stored_as_floats(self):
+        points = MembershipFunction((0, np.int64(1), np.float64(1.0), 3)).points
+        assert points == (0.0, 1.0, 1.0, 3.0)
+        assert all(type(p) is float for p in points)
+
     def test_rejects_decreasing_points(self):
         with pytest.raises(ValueError):
             MembershipFunction.triangle(1.0, 0.5, 0.8)
@@ -137,6 +154,13 @@ class TestFuzzify:
                                           (-1.7e308, 1.7e308)])
     def test_universe_must_be_finite(self, universe):
         with pytest.raises(ValueError, match="not finite"):
+            FuzzyVariable("x", universe, {"a": MembershipFunction.triangle(0, 0, 1),
+                                          "b": MembershipFunction.triangle(0, 1, 1)})
+
+    @pytest.mark.parametrize("universe", [(0, 10**400), (-10**400, 1), (0.0, None), (0.0,),
+                                          (0.0, 1.0, 2.0), "01", ("0", "1"), 1.0])
+    def test_universe_must_be_two_numbers_in_float_range(self, universe):
+        with pytest.raises(ConfigInvalid):
             FuzzyVariable("x", universe, {"a": MembershipFunction.triangle(0, 0, 1),
                                           "b": MembershipFunction.triangle(0, 1, 1)})
 
@@ -426,6 +450,11 @@ class TestStabilizer:
             arm_compensation_deltas([10.0, azimuth], [0.5, extension])
         with pytest.raises(ValueError, match="not finite|outside"):
             stabilizer_deltas(azimuth, extension)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1), (2, 0)])
+    def test_poses_that_are_not_one_series_are_dimension_mismatch(self, shape):
+        with pytest.raises(DimensionMismatch):
+            arm_compensation_deltas(np.zeros(shape), np.ones(shape))
 
     @pytest.mark.parametrize("roll, pitch", [
         (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.1, -math.inf), (math.inf, math.nan)])

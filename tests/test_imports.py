@@ -107,12 +107,14 @@ def test_submodules_resolve_to_the_imported_modules():
 
 
 def test_cli_literals_match_the_library():
-    from aerobot import neural, sidewalk, vision
+    from aerobot import neural, sidewalk, sizing, vision
     assert cli.DEFAULT_EXG_THRESHOLD == vision.DEFAULT_EXG_THRESHOLD
     args = cli.build_parser().parse_args(["green-density", "field.ppm"])
     assert args.threshold == vision.DEFAULT_EXG_THRESHOLD
     args = cli.build_parser().parse_args(["inspect-sidewalk", "curb.pgm"])
     assert sidewalk.InspectConfig(args.sigma, args.block) == sidewalk.InspectConfig()
+    args = cli.build_parser().parse_args(["thrust", "--mass-table", "m.csv", "--rotors", "8"])
+    assert args.safety == sizing.ThrustSpec(1.0, 8).safety_factor
     assert sorted(cli._ACTIVATIONS.values()) == sorted(
         [neural.SIGMOID, neural.RELU, neural.LEAKY_RELU])
 

@@ -153,6 +153,20 @@ def scrambled_raster(rng) -> bytes:
     return header[0] + b"".join(gap() + t for t in header[1:] + tokens) + tail
 
 
+class TestFromArray:
+    @pytest.mark.parametrize("arr", [
+        [[np.nan, 3.0]], [[np.inf, 0.0]], [[-1.0, 0.0]], [[0.0, 255.5]], [[256]],
+        np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 2, 3))])
+    def test_refuses_samples_outside_0_255_and_empty_arrays(self, arr):
+        # the suite turns a numpy cast warning into an error, so a warning fails this too
+        with pytest.raises(OutOfRange):
+            Image.from_array(np.asarray(arr))
+
+    def test_accepts_in_range_floats_and_bools(self):
+        assert Image.from_array(np.array([[255.0, 0.0]])).samples == b"\xff\x00"
+        assert Image.from_array(np.array([[True, False]])).samples == b"\x01\x00"
+
+
 class TestParse:
     def test_p5_binary(self):
         img = parse_pnm(b"P5\n2 1\n255\n" + bytes([0, 255]))
