@@ -89,13 +89,14 @@ class FuzzyVariable:
     sets: dict
 
     def __post_init__(self):
+        if not (isinstance(self.sets, (dict, MappingProxyType)) and len(self.sets) >= 2
+                and all(isinstance(mf, MembershipFunction) for mf in self.sets.values())):
+            raise ConfigInvalid(f"variable {self.name!r} needs >= 2 labels of MembershipFunctions")
         object.__setattr__(self, "sets", MappingProxyType(dict(self.sets)))
         object.__setattr__(self, "universe", _floats(self.universe, 2, "universe bounds"))
         lo, hi = self.universe
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and hi - lo < math.inf):
             raise ConfigInvalid(f"universe {self.universe} is empty, not finite or too wide")
-        if len(self.sets) < 2:
-            raise ConfigInvalid(f"variable {self.name!r} needs >= 2 labels")
         for label, mf in self.sets.items():
             a, b, c, d = mf.points
             if a < lo or d > hi:
@@ -104,9 +105,9 @@ class FuzzyVariable:
             if any(w > 0.0 and (hi - lo) / w == math.inf for w in (b - a, d - c)):
                 raise ConfigInvalid(f"{self.name}.{label} is too steep for its universe")
 
-    def clamp(self, x):
+    def clamp(self, x: float) -> float:
         lo, hi = self.universe
-        return min(max(x, lo), hi) if isinstance(x, (int, float)) else np.clip(x, lo, hi)
+        return min(max(x, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class Rule:
 
 @dataclass(frozen=True, eq=False)
 class FuzzySystem:
-    """Immutable rulebase; per output, one pre-sampled (labels, 1, samples) stack of curves.
+    """Immutable rulebase; per output, one pre-sampled (labels, samples) stack of curves.
 
     Built from sequences of input and output variables, held read-only by name.
     """
@@ -135,15 +136,17 @@ class FuzzySystem:
         object.__setattr__(self, "inputs", MappingProxyType({v.name: v for v in self.inputs}))
         object.__setattr__(self, "outputs", MappingProxyType({v.name: v for v in self.outputs}))
         object.__setattr__(self, "rules", tuple(self.rules))
+        conditions = {(name, label) for name, var in self.inputs.items() for label in var.sets}
+        conclusions = {(name, label) for name, var in self.outputs.items() for label in var.sets}
         for rule in self.rules:
             if not rule.antecedents:
                 raise ConfigInvalid(f"rule for {rule.consequent} has no antecedents")
-            for var, label in rule.antecedents:
-                if var not in self.inputs or label not in self.inputs[var].sets:
-                    raise ConfigInvalid(f"unknown antecedent {var}.{label}")
-            var, label = rule.consequent
-            if var not in self.outputs or label not in self.outputs[var].sets:
-                raise ConfigInvalid(f"unknown consequent {var}.{label}")
+            try:  # an unhashable term is not a known one either
+                known = conditions.issuperset(rule.antecedents) and rule.consequent in conclusions
+            except TypeError:
+                known = False
+            if not known:
+                raise ConfigInvalid(f"{rule} names an unknown (variable, label) pair")
         for var in self.outputs.values():
             # the centroid sums samples values of |y| <= max(|lo|, |hi|)
             if self.samples * max(map(abs, var.universe)) == math.inf:
@@ -155,52 +158,41 @@ class FuzzySystem:
 
 @lru_cache(maxsize=64, typed=True)
 def _curve_stack(universe: tuple, abcds: tuple, samples: int) -> tuple:
-    """Read-only sample grid and (labels, 1, samples) curves, one per (a, b, c, d)."""
+    """Read-only sample grid and (labels, samples) curves, one per (a, b, c, d)."""
     ys = np.linspace(*universe, samples)
-    curves = np.stack([MembershipFunction(abcd)(ys) for abcd in abcds])[:, None, :]
+    curves = np.stack([MembershipFunction(abcd)(ys) for abcd in abcds])
     ys.flags.writeable = curves.flags.writeable = False
     return ys, curves
 
 
-def _infer_batch(system: FuzzySystem, values: dict) -> dict:
-    """Mamdani inference over inputs broadcast together, or one row of floats, to crisp arrays.
+def infer(system: FuzzySystem, values: dict) -> dict:
+    """Crisp centroid output per output variable for one query, on Python floats.
 
     Each consequent label is clipped once, at the largest firing degree of its
-    rules, since max_r min(h_r, c) = min(max_r h_r, c). The centroid sums each
-    row on its own, so a row of a batch gives the bits of the same query alone.
+    rules, since max_r min(h_r, c) = min(max_r h_r, c).
     """
-    inputs = {}
+    degrees = {}
     for name, var in system.inputs.items():
         if name not in values:
             raise ConfigInvalid(f"missing input {name!r}")
-        inputs[name] = var.clamp(values[name])
-    # numbers add nothing to the shape, and np.broadcast takes at most 64 arguments
-    shape = np.broadcast(*[x for x in inputs.values() if isinstance(x, np.ndarray)]).shape
-    lower, upper = (np.minimum, np.maximum) if shape else (min, max)
-    degrees = {(name, label): mf(inputs[name])
-               for name, var in system.inputs.items() for label, mf in var.sets.items()}
+        x = var.clamp(float(values[name]))
+        degrees.update({(name, label): mf(x) for label, mf in var.sets.items()})
 
     crisp = {}
     for name, (labels, ys, curves) in system._stacks.items():
-        heights = [np.zeros(shape) if shape else 0.0] * len(labels)
+        heights = [0.0] * len(labels)
         for rule in system.rules:
             if rule.consequent[0] == name:
                 j = labels.index(rule.consequent[1])
-                fired = reduce(lower, (degrees[a] for a in rule.antecedents))
-                heights[j] = upper(heights[j], fired)
-        clipped = np.minimum(np.array(heights).reshape(len(labels), -1, 1), curves)
+                fired = min(degrees[a] for a in rule.antecedents)
+                heights[j] = max(heights[j], fired)
+        clipped = np.minimum(np.array(heights)[:, None], curves)
         agg = clipped.max(axis=0)
-        mass = agg.sum(axis=1)
-        if not mass.all():  # mass is never negative
+        mass = agg.sum()
+        if not mass:  # mass is never negative
             raise NoRuleFired(f"no rule fired for output {name!r}")
-        crisp[name] = (np.multiply(agg, ys, out=agg).sum(axis=1) / mass).reshape(shape)
+        crisp[name] = float(np.multiply(agg, ys, out=agg).sum() / mass)
     return crisp
-
-
-def infer(system: FuzzySystem, values: dict) -> dict:
-    """Crisp centroid output per output variable for one set of crisp inputs."""
-    batch = _infer_batch(system, {k: float(v) for k, v in values.items()})
-    return {name: float(arr) for name, arr in batch.items()}
 
 
 # JSON definition ------------------------------------------------------------
@@ -304,18 +296,38 @@ def tilt_compensation_system() -> FuzzySystem:
     }), "tilted", _TILT_DELTA_MAX_N, 2.0)
 
 
+@lru_cache(maxsize=2)
+def _boost_sums(system: FuzzySystem) -> tuple:
+    """The distinct "boost" sample values c_k, with S0(c_k) and S1(c_k) (see `_ring_deltas`)."""
+    labels, ys, curves = system._stacks["lift"]
+    boost = curves[labels.index("boost")]
+    knots = np.unique(boost)
+    clipped = np.minimum(knots[:, None], boost)
+    return knots, clipped.sum(axis=1), (clipped * ys).sum(axis=1)
+
+
 def _ring_deltas(system: FuzzySystem, azimuths: np.ndarray, name: str, values) -> np.ndarray:
     """Zero-sum (B, 8) deltas of the lift inferred from each rotor's unsigned angle in
     [0, 180] to each azimuth and from input `name`, whose `values` broadcast against
-    those angles. Per row, rotor i+4 gets the exact negation of rotor i's delta."""
-    diff = np.abs((azimuths[:, None] - np.asarray(ROTOR_AZIMUTHS_DEG)) % 360.0)
-    lift = _infer_batch(system, {
-        "proximity": np.where(diff > 180.0, 360.0 - diff, diff), name: values})["lift"]
+    those angles. Per row, rotor i+4 gets the exact negation of rotor i's delta.
+
+    "none" is one sample at y = 0, where "boost" is 0, so the centroid at h = h_boost is
+    S1(h) / (h_none + S0(h)), with S0(h) = Σ min(h, c_j) and S1(h) = Σ y_j·min(h, c_j) over
+    the "boost" samples c_j. Both are linear in h between sample values: np.interp gives them.
+    """
+    angle = np.abs((azimuths[:, None] - np.asarray(ROTOR_AZIMUTHS_DEG)) % 360.0)
+    inputs = {"proximity": np.minimum(angle, 360.0 - angle, out=angle), name: values}
+    degrees = {(key, label): mf(inputs[key])
+               for key, var in system.inputs.items() for label, mf in var.sets.items()}
+    height = {"none": 0.0, "boost": 0.0}
+    for rule in system.rules:
+        fired = reduce(np.minimum, (degrees[a] for a in rule.antecedents))
+        height[rule.consequent[1]] = np.maximum(height[rule.consequent[1]], fired)
+    knots, s0, s1 = _boost_sums(system)
+    lift = np.interp(height["boost"], knots, s1)
+    lift /= height["none"] + np.interp(height["boost"], knots, s0)
     half = lift[:, :N_ROTORS // 2] - lift[:, N_ROTORS // 2:]
     return np.concatenate([half, -half], axis=1)
-
-
-_CHUNK_POSES = 1024  # x 8 rotors = 8192 rows cap the (labels, rows, samples) clipped stack
 
 
 def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
@@ -328,12 +340,7 @@ def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
         raise OutOfRange("azimuth is not finite")
     if not np.all((ext >= 0.0) & (ext <= 1.0)):  # NaN fails both comparisons
         raise OutOfRange("extension outside [0, 1]")
-    system = arm_compensation_system()
-    deltas = np.empty((az.shape[0], N_ROTORS))
-    for start in range(0, az.shape[0], _CHUNK_POSES):
-        rows = slice(start, start + _CHUNK_POSES)
-        deltas[rows] = _ring_deltas(system, az[rows] % 360.0, "extension", ext[rows, None])
-    return deltas
+    return _ring_deltas(arm_compensation_system(), az % 360.0, "extension", ext[:, None])
 
 
 def tilt_compensation_deltas(roll: float, pitch: float) -> np.ndarray:
@@ -342,7 +349,7 @@ def tilt_compensation_deltas(roll: float, pitch: float) -> np.ndarray:
         raise OutOfRange(f"tilt ({roll}, {pitch}) is not finite")
     correction = math.degrees(math.atan2(-roll, pitch)) % 360.0
     return _ring_deltas(tilt_compensation_system(), np.array([correction]), "tilt",
-                        math.hypot(roll, pitch))[0]
+                        min(math.hypot(roll, pitch), _TILT_UNIVERSE_RAD))[0]
 
 
 def stabilizer_deltas(arm_azimuth_deg: float, arm_extension: float,

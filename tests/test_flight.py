@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
 
+from aerobot import flight
 from aerobot.errors import (
     ConfigInvalid,
     OutOfRange,
@@ -31,6 +32,7 @@ from aerobot.sizing import (
     thrust_per_rotor,
     total_mass,
 )
+from test_fuzzy import arm_deltas_oracle, tilt_deltas_oracle
 
 # sha256 of the whole trace CSV: any change to a thrust, rate or angle bit shows,
 # over far more of the closed loop than the 50-step golden run
@@ -39,7 +41,7 @@ PINNED_TRACES = {
         # keyframes drawn from default_rng(2026)
         (0.0, 23.311, 0.653), (0.371, 493.76, 0.298),
         (0.467, 617.555, 0.967), (0.64, -168.459, 0.92))),
-        "4b23b4dbe905603789739f5d5ba19c45d916453dd1e3b3a026122972490c65bd"),
+        "a81d76bc9245d5152448d35dc2c179e0c1dd3c0e7ec2db8c7896120bcae08d0c"),
     "default_controller_off": (SimConfig(duration_s=1.0, controller=False),
                                "6ecca569bcd17b9ced92e78dcd282f4af85cd321c40b51f620b1beb86d4aa5b2"),
 }
@@ -298,6 +300,18 @@ class TestSimulate:
     def test_closed_loop_trace_pinned(self, cfg, digest):
         csv = trace_to_csv(simulate_hover(cfg))
         assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cfg", [PINNED_TRACES["seeded_controller_on"][0], SimConfig()],
+                             ids=["seeded_controller_on", "default"])
+    def test_fifty_steps_follow_the_oracle_driven_trace(self, cfg, monkeypatch):
+        cfg = replace(cfg, duration_s=50 * cfg.dt_s)
+        trace = simulate_hover(cfg)
+        monkeypatch.setattr(flight, "arm_compensation_deltas", arm_deltas_oracle)
+        monkeypatch.setattr(flight, "tilt_compensation_deltas", tilt_deltas_oracle)
+        expected = simulate_hover(cfg)
+        assert len(trace) == len(expected) == 50
+        for name in TRACE_DTYPE.names:
+            assert np.abs(trace[name] - expected[name]).max() <= 1e-9, name
 
     def test_trace_csv_columns(self):
         trace = simulate_hover(short_config(duration_s=0.01, dt_s=0.001))
