@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from importlib import resources
@@ -131,19 +132,27 @@ class FuzzySystem:
     samples: int = 201
 
     def __post_init__(self):
-        if not MIN_SAMPLES <= self.samples <= MAX_SAMPLES:
-            raise ConfigInvalid(f"samples {self.samples} outside {MIN_SAMPLES}..{MAX_SAMPLES}")
-        object.__setattr__(self, "inputs", MappingProxyType({v.name: v for v in self.inputs}))
-        object.__setattr__(self, "outputs", MappingProxyType({v.name: v for v in self.outputs}))
-        object.__setattr__(self, "rules", tuple(self.rules))
-        conditions = {(name, label) for name, var in self.inputs.items() for label in var.sets}
-        conclusions = {(name, label) for name, var in self.outputs.items() for label in var.sets}
+        try:
+            in_bounds = MIN_SAMPLES <= operator.index(self.samples) <= MAX_SAMPLES
+        except TypeError:
+            in_bounds = False
+        if not in_bounds:
+            raise ConfigInvalid(
+                f"samples {self.samples!r} is not an integer in {MIN_SAMPLES}..{MAX_SAMPLES}")
+        try:
+            object.__setattr__(self, "inputs", MappingProxyType({v.name: v for v in self.inputs}))
+            object.__setattr__(self, "outputs", MappingProxyType({v.name: v for v in self.outputs}))
+            object.__setattr__(self, "rules", tuple(self.rules))
+            conditions = {(n, label) for n, var in self.inputs.items() for label in var.sets}
+            conclusions = {(n, label) for n, var in self.outputs.items() for label in var.sets}
+        except (AttributeError, TypeError) as exc:
+            raise ConfigInvalid(f"need sequences of FuzzyVariables and of rules: {exc}") from exc
         for rule in self.rules:
-            if not rule.antecedents:
-                raise ConfigInvalid(f"rule for {rule.consequent} has no antecedents")
-            try:  # an unhashable term is not a known one either
+            try:  # an unhashable term is not a known one, and a non-Rule has none
+                if not rule.antecedents:
+                    raise ConfigInvalid(f"rule for {rule.consequent} has no antecedents")
                 known = conditions.issuperset(rule.antecedents) and rule.consequent in conclusions
-            except TypeError:
+            except (AttributeError, TypeError):
                 known = False
             if not known:
                 raise ConfigInvalid(f"{rule} names an unknown (variable, label) pair")
@@ -175,7 +184,12 @@ def infer(system: FuzzySystem, values: dict) -> dict:
     for name, var in system.inputs.items():
         if name not in values:
             raise ConfigInvalid(f"missing input {name!r}")
-        x = var.clamp(float(values[name]))
+        try:
+            x = var.clamp(float(values[name]))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise OutOfRange(f"input {name!r} is not a number in float range: {exc}") from exc
+        if x != x:  # NaN passes the clamp and no set holds it
+            raise OutOfRange(f"input {name!r} is NaN")
         degrees.update({(name, label): mf(x) for label, mf in var.sets.items()})
 
     crisp = {}
@@ -244,8 +258,12 @@ def default_dosing_system() -> FuzzySystem:
 def pesticide_dose(density: float, system: FuzzySystem | None = None) -> float:
     """Liters of pesticide per unit area for a green-cover fraction, by a rulebase whose
     one input is green_density and which has a dose output (else ConfigInvalid)."""
-    if not 0.0 <= density <= 1.0:
-        raise OutOfRange(f"density {density} outside [0, 1]")
+    try:
+        in_range = 0.0 <= density <= 1.0
+    except TypeError:
+        in_range = False
+    if not in_range:
+        raise OutOfRange(f"density {density!r} is not a number in [0, 1]")
     sys_ = system if system is not None else default_dosing_system()
     if sys_.inputs.keys() != {"green_density"} or "dose" not in sys_.outputs:
         raise ConfigInvalid(f"not a dosing rulebase: {[*sys_.inputs]} -> {[*sys_.outputs]}")
@@ -332,8 +350,11 @@ def _ring_deltas(system: FuzzySystem, azimuths: np.ndarray, name: str, values) -
 
 def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
     """Zero-sum deltas (B, 8) for a series of arm poses."""
-    az = np.atleast_1d(np.asarray(azimuths_deg, dtype=np.float64))
-    ext = np.atleast_1d(np.asarray(extensions, dtype=np.float64))
+    try:
+        az = np.atleast_1d(np.asarray(azimuths_deg, dtype=np.float64))
+        ext = np.atleast_1d(np.asarray(extensions, dtype=np.float64))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise OutOfRange(f"arm poses must be numbers in float range: {exc}") from exc
     if az.ndim != 1 or az.shape != ext.shape:
         raise DimensionMismatch("azimuths and extensions must be aligned 1-D series")
     if not np.all(np.isfinite(az)):
@@ -345,7 +366,11 @@ def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
 
 def tilt_compensation_deltas(roll: float, pitch: float) -> np.ndarray:
     """Zero-sum deltas (8,) boosting the rotors whose lift opposes the tilt."""
-    if not (math.isfinite(roll) and math.isfinite(pitch)):
+    try:
+        finite = math.isfinite(roll) and math.isfinite(pitch)
+    except (OverflowError, TypeError) as exc:
+        raise OutOfRange(f"tilt must be two numbers in float range: {exc}") from exc
+    if not finite:
         raise OutOfRange(f"tilt ({roll}, {pitch}) is not finite")
     correction = math.degrees(math.atan2(-roll, pitch)) % 360.0
     return _ring_deltas(tilt_compensation_system(), np.array([correction]), "tilt",
@@ -361,5 +386,9 @@ def stabilizer_deltas(arm_azimuth_deg: float, arm_extension: float,
     correction is built the same way around the azimuth whose boost produces
     a torque opposing (roll, pitch).
     """
+    try:
+        roll, pitch = tilt_error
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"tilt_error must be a (roll, pitch) pair: {exc}") from exc
     return (arm_compensation_deltas([arm_azimuth_deg], [arm_extension])[0]
-            + tilt_compensation_deltas(float(tilt_error[0]), float(tilt_error[1])))
+            + tilt_compensation_deltas(roll, pitch))

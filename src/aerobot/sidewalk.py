@@ -3,16 +3,17 @@ and decide which ones need repainting.
 
 The strip is the horizontal band with the strongest Mexican-Hat response.
 Its blocks are averaged, every run of three consecutive blocks is encoded
-as a ternary vector (+1 bright, -1 dark, 0 vague), and a three-neuron
+as a ternary probe (+1 bright, -1 dark, 0 vague), and a three-neuron
 Hopfield memory storing the two alternation patterns recalls the nearest
-intact pattern. Blocks where the probe disagrees with the recalled pattern
-are flagged for paint; overlapping segments vote, and any vote flags.
+intact pattern, once per distinct probe: only 27 exist. Blocks where the
+probe disagrees with the recalled pattern are flagged for paint;
+overlapping segments vote, and any vote flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -126,19 +127,24 @@ def encode_ternary(means) -> np.ndarray:
     return np.where(means >= BRIGHT_MIN, 1, np.where(means <= DARK_MAX, -1, 0))
 
 
-def classify_segment(encoded, start: int = 0) -> PaintDecision:
-    """Recall the nearest pattern of sidewalk_memory() and flag the disagreeing blocks."""
-    encoded = tuple(int(v) for v in encoded)
-    net = sidewalk_memory()
-    if encoded in net.stored_patterns:
-        return PaintDecision(start, encoded, encoded, INTACT)
+@lru_cache(maxsize=27)
+def _recall(probe: tuple) -> tuple:
+    """(vertex, verdict) of a ternary probe; only a stored pattern recalls itself, as intact."""
     try:
-        state, _ = hopfield_recall(net, encoded, max_iter=MAX_ITER)
+        state, _ = hopfield_recall(sidewalk_memory(), probe, max_iter=MAX_ITER)
     except NonConvergent:
-        return PaintDecision(start, encoded, None, UNRESOLVED)
+        return None, UNRESOLVED
     vertex = tuple(int(v) for v in state)
-    mismatched = tuple(start + i for i in range(3) if encoded[i] != vertex[i])
-    return PaintDecision(start, encoded, vertex, PAINT, mismatched)
+    return vertex, INTACT if vertex == probe else PAINT
+
+
+def classify_segment(encoded, start: int = 0) -> PaintDecision:
+    """Look up the nearest pattern of sidewalk_memory() and flag the disagreeing blocks."""
+    encoded = tuple(map(int, encoded))
+    vertex, verdict = _recall(encoded)
+    paint = (tuple(start + i for i in range(3) if encoded[i] != vertex[i])
+             if verdict == PAINT else ())
+    return PaintDecision(start, encoded, vertex, verdict, paint)
 
 
 def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[InspectionReport, Image]:
@@ -152,12 +158,8 @@ def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[Inspec
     gray = to_grayscale(img)
     means, band_top = extract_strip(gray, config)
     codes = encode_ternary(means).tolist()
-    decisions = []
-    flagged = set()
-    for start in range(len(codes) - 2):
-        decision = classify_segment(codes[start:start + 3], start=start)
-        decisions.append(decision)
-        flagged.update(decision.paint_blocks)
+    decisions = [classify_segment(codes[s:s + 3], start=s) for s in range(len(codes) - 2)]
+    flagged = {i for decision in decisions for i in decision.paint_blocks}
 
     overlay_arr = gray.to_array().copy()
     length = config.block_length
@@ -196,15 +198,13 @@ class SidewalkParams:
 
 def generate_sidewalk(params: SidewalkParams, seed: int = 0) -> Image:
     """Render a striped band on a flat background, with erased blocks and noise."""
-    width = params.n_blocks * params.block_length
-    arr = np.full((params.image_height, width), BACKGROUND_LEVEL, dtype=np.float64)
-    for j in range(params.n_blocks):
-        bright = (j % 2 == 0) == params.first_block_bright
-        value = BACKGROUND_LEVEL if j in params.erased_blocks else (
-            BRIGHT_LEVEL if bright else DARK_LEVEL)
-        x0 = j * params.block_length
-        arr[params.band_top:params.band_top + params.block_length,
-            x0:x0 + params.block_length] = value
+    j = np.arange(params.n_blocks)
+    levels = np.where((j % 2 == 0) == params.first_block_bright, BRIGHT_LEVEL, DARK_LEVEL)
+    # on a dozen blocks, isin's default table kind costs more than the painting
+    levels[np.isin(j, params.erased_blocks, kind="sort")] = BACKGROUND_LEVEL
+    band = np.repeat(levels, params.block_length)
+    arr = np.full((params.image_height, band.size), BACKGROUND_LEVEL, dtype=np.float64)
+    arr[params.band_top:params.band_top + params.block_length] = band
     if params.noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         arr += rng.normal(0.0, params.noise_sigma, size=arr.shape)

@@ -749,9 +749,10 @@ def test_pinned_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
         children[name] = subprocess.Popen(
             [sys.executable, "-c", PINNED_CHILD, str(tmp_path / name)], env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    for name, child in children.items():
-        out, err = child.communicate(timeout=600)
-        assert child.returncode == 0, (name, err)
+    # read every child before asserting, so that one mismatch leaves no pipe open
+    outputs = {name: child.communicate(timeout=600) for name, child in children.items()}
+    for name, (out, err) in outputs.items():
+        assert children[name].returncode == 0, (name, err)
         cores = re.findall(r"^Core: (\S+)", err, re.M)
         if name in BLAS_KERNELS:  # an override OpenBLAS ignored would prove nothing
             assert cores and cores[0] in BLAS_KERNELS[name][1], (name, err)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aerobot import fuzzy
-from aerobot.errors import ConfigInvalid, DimensionMismatch, NoRuleFired, ParseError
+from aerobot.errors import ConfigInvalid, DimensionMismatch, NoRuleFired, OutOfRange, ParseError
 from aerobot.fuzzy import (
     MAX_SAMPLES,
     N_ROTORS,
@@ -207,6 +207,32 @@ class TestSystemChecks:
         with pytest.raises(ConfigInvalid, match=r"unknown \(variable, label\) pair"):
             single_output_system(consequents, [Rule(antecedents, consequent)])
 
+    @pytest.mark.parametrize("part", ["inputs", "outputs", "rules"])
+    @pytest.mark.parametrize("value", [[1], None, 5, "ab"])
+    def test_parts_must_be_sequences_of_variables_and_rules(self, part, value):
+        system = default_dosing_system()
+        parts = {"inputs": [*system.inputs.values()], "outputs": [*system.outputs.values()],
+                 "rules": system.rules}
+        FuzzySystem(**parts)
+        parts[part] = value
+        with pytest.raises(ConfigInvalid):
+            FuzzySystem(**parts)
+
+    def test_a_rule_list_holding_a_non_rule_is_refused(self):
+        system = default_dosing_system()
+        with pytest.raises(ConfigInvalid, match="unknown"):
+            FuzzySystem([*system.inputs.values()], [*system.outputs.values()],
+                        [*system.rules, ("green_density", "low")])
+
+    @pytest.mark.parametrize("samples", ["201", 201.0, None, True])
+    def test_sample_count_must_be_an_integer(self, samples):
+        consequents = {"mid": MembershipFunction.triangle(0.25, 0.5, 0.75),
+                       "low": MembershipFunction.triangle(0.0, 0.0, 0.25)}
+        rules = [Rule((("x", "lo"),), ("y", "mid"))]
+        assert single_output_system(consequents, rules, samples=np.int64(201)).samples == 201
+        with pytest.raises(ConfigInvalid, match="samples"):
+            single_output_system(consequents, rules, samples=samples)
+
     def test_rule_needs_an_antecedent(self):
         consequents = {"mid": MembershipFunction.triangle(0.25, 0.5, 0.75),
                        "low": MembershipFunction.triangle(0.0, 0.0, 0.25)}
@@ -353,6 +379,22 @@ class TestPesticideDose:
         with pytest.raises(ValueError):
             pesticide_dose(1.5)
 
+    @pytest.mark.parametrize("density", ["0.5", None, [0.5], math.nan])
+    def test_density_that_is_not_a_number_is_out_of_range(self, density):
+        with pytest.raises(OutOfRange):
+            pesticide_dose(density)
+
+    @pytest.mark.parametrize("value", ["abc", None, pytest.param(10**400, id="10**400"),
+                                       [0.5], math.nan])
+    def test_query_value_that_is_not_a_number_is_out_of_range(self, value):
+        with pytest.raises(OutOfRange):
+            infer(default_dosing_system(), {"green_density": value})
+        # a NaN on an input that no rule reads would otherwise pass unseen
+        system = system_from_json(NOT_DOSING["input-wind"])
+        assert infer(system, {"green_density": 0.5, "wind": 0.5})
+        with pytest.raises(OutOfRange):
+            infer(system, {"green_density": 0.5, "wind": value})
+
     @pytest.mark.parametrize("built_in", [default_dosing_system, arm_compensation_system,
                                           tilt_compensation_system])
     def test_shared_systems_refuse_writes(self, built_in):
@@ -478,6 +520,27 @@ class TestStabilizer:
     def test_poses_that_are_not_one_series_are_dimension_mismatch(self, shape):
         with pytest.raises(DimensionMismatch):
             arm_compensation_deltas(np.zeros(shape), np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [["a"], pytest.param([10**400], id="10**400"), [0.5, {}]])
+    def test_poses_that_are_not_numbers_are_out_of_range(self, bad):
+        with pytest.raises(OutOfRange):
+            arm_compensation_deltas(bad, [0.5] * len(bad))
+        with pytest.raises(OutOfRange):
+            arm_compensation_deltas([0.0] * len(bad), bad)
+
+    @pytest.mark.parametrize("roll", [None, pytest.param(10**400, id="10**400"), "0.1", [0.1]])
+    def test_tilt_that_is_not_a_number_is_out_of_range(self, roll):
+        with pytest.raises(OutOfRange):
+            tilt_compensation_deltas(roll, 0.0)
+        with pytest.raises(OutOfRange):
+            tilt_compensation_deltas(0.0, roll)
+        with pytest.raises(OutOfRange):
+            stabilizer_deltas(45.0, 0.5, (roll, 0.0))
+
+    @pytest.mark.parametrize("tilt_error", [(0.1,), (), None, 0.1, (0.1, 0.2, 0.3)])
+    def test_tilt_error_must_be_a_pair(self, tilt_error):
+        with pytest.raises(DimensionMismatch):
+            stabilizer_deltas(45.0, 0.5, tilt_error)
 
     @pytest.mark.parametrize("roll, pitch", [
         (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.1, -math.inf), (math.inf, math.nan)])

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -5,16 +6,26 @@ import numpy as np
 import pytest
 
 from aerobot import sidewalk
-from aerobot.errors import ConfigInvalid, NoStripFound
+from aerobot.errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    NonBipolarPattern,
+    NonConvergent,
+    NoStripFound,
+    OutOfRange,
+)
+from aerobot.neural import hopfield_recall
 from aerobot.raster import Image, to_grayscale, write_pnm
 from aerobot.sidewalk import (
     BRIGHT_MIN,
     DARK_MAX,
     FUNDAMENTAL_PATTERNS,
     INTACT,
+    MAX_ITER,
     PAINT,
     UNRESOLVED,
     InspectConfig,
+    PaintDecision,
     MIN_RESPONSE,
     InspectionReport,
     SidewalkParams,
@@ -53,6 +64,38 @@ def encode_ternary_oracle(segment):
     return tuple(out)
 
 
+def classify_segment_oracle(encoded, start=0):
+    """One Hopfield recall per segment, with the stored-pattern shortcut."""
+    encoded = tuple(int(v) for v in encoded)
+    net = sidewalk_memory()
+    if encoded in net.stored_patterns:
+        return PaintDecision(start, encoded, encoded, INTACT)
+    try:
+        state, _ = hopfield_recall(net, encoded, max_iter=MAX_ITER)
+    except NonConvergent:
+        return PaintDecision(start, encoded, None, UNRESOLVED)
+    vertex = tuple(int(v) for v in state)
+    mismatched = tuple(start + i for i in range(3) if encoded[i] != vertex[i])
+    return PaintDecision(start, encoded, vertex, PAINT, mismatched)
+
+
+def generate_sidewalk_oracle(params, seed=0):
+    """The per-block loop that painted one block of the band at a time."""
+    width = params.n_blocks * params.block_length
+    arr = np.full((params.image_height, width), sidewalk.BACKGROUND_LEVEL, dtype=np.float64)
+    for j in range(params.n_blocks):
+        bright = (j % 2 == 0) == params.first_block_bright
+        value = sidewalk.BACKGROUND_LEVEL if j in params.erased_blocks else (
+            sidewalk.BRIGHT_LEVEL if bright else sidewalk.DARK_LEVEL)
+        x0 = j * params.block_length
+        arr[params.band_top:params.band_top + params.block_length,
+            x0:x0 + params.block_length] = value
+    if params.noise_sigma > 0.0:
+        rng = np.random.default_rng(seed)
+        arr += rng.normal(0.0, params.noise_sigma, size=arr.shape)
+    return Image.from_array(np.clip(np.rint(arr), 0, 255).astype(np.uint8))
+
+
 def inspect_oracle(img, config=InspectConfig()):
     """Block-by-block inspection: one slice mean and one segment object each."""
     gray = to_grayscale(img)
@@ -76,7 +119,7 @@ def inspect_oracle(img, config=InspectConfig()):
     flagged = set()
     for start in range(len(means) - 2):
         segment = SegmentPattern(start, tuple(means[start:start + 3]))
-        decision = classify_segment(encode_ternary_oracle(segment), start=start)
+        decision = classify_segment_oracle(encode_ternary_oracle(segment), start=start)
         decisions.append(decision)
         flagged.update(decision.paint_blocks)
 
@@ -145,6 +188,32 @@ class TestGenerator:
         params = SidewalkParams(noise_sigma=10.0)
         assert generate_sidewalk(params, seed=5) == generate_sidewalk(params, seed=5)
         assert generate_sidewalk(params, seed=5) != generate_sidewalk(params, seed=6)
+
+    def test_matches_block_loop_on_seeded_params(self):
+        rng = np.random.default_rng(27)
+        polarities, duplicates, outside = set(), 0, 0
+        for _ in range(300):
+            n = int(rng.integers(1, 20))
+            length = int(rng.integers(1, 12))
+            height = int(rng.integers(1, 40))
+            erased = tuple(int(j) for j in rng.integers(-3, n + 3, size=int(rng.integers(0, 7))))
+            params = SidewalkParams(
+                n_blocks=n, block_length=length, image_height=height,
+                band_top=int(rng.integers(-length, height + 2)),
+                noise_sigma=float(rng.choice((0.0, 5.0, 40.0))), erased_blocks=erased,
+                first_block_bright=bool(rng.integers(0, 2)))
+            seed = int(rng.integers(2**31))
+            got = generate_sidewalk(params, seed)
+            assert write_pnm(got) == write_pnm(generate_sidewalk_oracle(params, seed))
+            polarities.add(params.first_block_bright)
+            duplicates += len(set(erased)) < len(erased)
+            outside += any(j < 0 or j >= n for j in erased)
+        assert polarities == {False, True} and duplicates > 20 and outside > 100
+
+    @pytest.mark.parametrize("block_length", [-3, 4])
+    def test_negative_block_count_is_out_of_range(self, block_length):
+        with pytest.raises(OutOfRange):
+            generate_sidewalk(SidewalkParams(n_blocks=-2, block_length=block_length))
 
 
 class TestExtractStrip:
@@ -261,6 +330,56 @@ class TestClassifySegment:
         assert decision.verdict == PAINT
         assert decision.vertex == (1, -1, 1)
         assert decision.paint_blocks == (1,)
+
+    def test_every_probe_matches_per_segment_recall(self):
+        verdicts = set()
+        for probe in itertools.product((-1, 0, 1), repeat=3):
+            for start in (0, 5):
+                decision = classify_segment(probe, start=start)
+                assert decision == classify_segment_oracle(probe, start=start)
+                verdicts.add(decision.verdict)
+        assert verdicts == {INTACT, PAINT, UNRESOLVED}
+
+    @pytest.mark.parametrize("probe, error", [
+        ((2, 0, 0), NonBipolarPattern), ((1, -1), DimensionMismatch),
+        ((1, -1, 1, -1), DimensionMismatch), ((), DimensionMismatch),
+    ])
+    def test_bad_probes_raise_and_are_never_cached(self, probe, error):
+        with pytest.raises(error):
+            classify_segment_oracle(probe)
+        before = sidewalk._recall.cache_info()
+        for _ in range(2):
+            with pytest.raises(error):
+                classify_segment(probe)
+        after = sidewalk._recall.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+    def test_only_stored_patterns_recall_themselves(self):
+        fixed = set()
+        for probe in itertools.product((-1, 0, 1), repeat=3):
+            try:
+                state, _ = hopfield_recall(sidewalk_memory(), probe, max_iter=MAX_ITER)
+            except NonConvergent:
+                continue
+            if tuple(state) == probe:
+                fixed.add(probe)
+        assert fixed == set(FUNDAMENTAL_PATTERNS)
+
+    def test_recall_runs_at_most_once_per_probe(self, monkeypatch):
+        calls = []
+        real = sidewalk.hopfield_recall
+        monkeypatch.setattr(sidewalk, "hopfield_recall",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        sidewalk._recall.cache_clear()
+        segments = 0
+        for img, config in planted_frames(50, seed=3):
+            try:
+                segments += len(inspect(img, config)[0].decisions)
+            except NoStripFound:
+                pass
+        assert segments > 200
+        assert len(calls) <= 27
+        assert len({args[1] for args in calls}) == len(calls)
 
 
 class TestInspect:

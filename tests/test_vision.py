@@ -782,7 +782,8 @@ class TestShapeKeyedTables:
     def test_every_cache_is_bounded(self):
         caches = aerobot_caches()
         assert {"aerobot.fuzzy._curve_stack", "aerobot.vision._gabor_spectra",
-                "aerobot.fuzzy.default_dosing_system"} <= caches.keys()
+                "aerobot.fuzzy.default_dosing_system",
+                "aerobot.sidewalk._recall"} <= caches.keys()
         for name, fn in caches.items():
             maxsize = fn.cache_info().maxsize
             # a function of no parameters holds one entry whatever its maxsize
