@@ -2,15 +2,16 @@
 
 Exit codes: 0 success, 1 an AerobotError (bad image, no strip, unreadable file, ...)
 as one `error: <Type>: ...` line on stderr, 2 usage; any other exception is a bug
-and shows its traceback. Payloads go to stdout (JSON, or CSV for the Hough detectors).
-Output files are written only after the computation succeeded, and a failed write
-removes those the call already wrote, so failures never leave partial artifacts.
+and shows its traceback. A command returns its payload (JSON, or CSV for the Hough
+detectors) and the output files asked for; only `run` writes them, files first, then stdout.
+A failed read or write removes the output paths the call created, never one that existed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -44,113 +45,93 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _cmd_otsu(args) -> int:
+def _cmd_otsu(args) -> tuple:
     img = _read_image(args.image)
     import numpy as np
 
     from . import raster, vision
     img = raster.to_grayscale(img)
     t = vision.otsu_threshold(raster.histogram(img))
+    files = []
     if args.out:
         mask = np.where(img.to_array() > t, 255, 0).astype(np.uint8)
-        Path(args.out).write_bytes(raster.write_pnm(raster.Image.from_array(mask)))
-    _emit({"threshold": t})
-    return EXIT_OK
+        files.append((args.out, raster.write_pnm(raster.Image.from_array(mask))))
+    return {"threshold": t}, files
 
 
-def _cmd_green_density(args) -> int:
+def _cmd_green_density(args) -> tuple:
     img = _read_image(args.image)
     from . import raster, vision
     result = vision.green_density(img, exg_threshold=args.threshold)
-    if args.mask:
-        Path(args.mask).write_bytes(raster.write_pnm(result.mask))
-    _emit({"green_fraction": result.fraction, "exg_threshold": args.threshold})
-    return EXIT_OK
+    files = [(args.mask, raster.write_pnm(result.mask))] if args.mask else []
+    return {"green_fraction": result.fraction, "exg_threshold": args.threshold}, files
 
 
-def _cmd_dose(args) -> int:
+def _cmd_dose(args) -> tuple:
     data = Path(args.image).read_bytes()
     rules = _read_text(args.system) if args.system else None
     from . import fuzzy, raster, vision
     result = vision.green_density(raster.parse_pnm(data))
     system = None if rules is None else fuzzy.system_from_json(rules)
     dose = fuzzy.pesticide_dose(result.fraction, system)
-    _emit({"green_fraction": result.fraction, "dose_liters": dose})
-    return EXIT_OK
+    return {"green_fraction": result.fraction, "dose_liters": dose}, []
 
 
-def _cmd_detect_lines(args) -> int:
+def _cmd_detect_lines(args) -> tuple:
     img = _read_image(args.image)
     from . import raster, vision
     hits = vision.hough_lines(raster.to_grayscale(img), theta_step=args.theta_step,
                               threshold=args.min_votes)
-    sys.stdout.write(vision.line_hits_csv(hits))
-    return EXIT_OK
+    return vision.line_hits_csv(hits), []
 
 
-def _cmd_detect_circles(args) -> int:
+def _cmd_detect_circles(args) -> tuple:
     img = _read_image(args.image)
     from . import raster, vision
     hits = vision.hough_circles(raster.to_grayscale(img), args.r_min, args.r_max,
                                 threshold=args.min_votes)
-    sys.stdout.write(vision.circle_hits_csv(hits))
-    return EXIT_OK
+    return vision.circle_hits_csv(hits), []
 
 
-def _cmd_inspect_sidewalk(args) -> int:
+def _cmd_inspect_sidewalk(args) -> tuple:
     img = _read_image(args.image)
     from . import raster, sidewalk
     config = sidewalk.InspectConfig(sigma=args.sigma, block_length=args.block)
     report, overlay = sidewalk.inspect(img, config)
     doc = report.to_dict()
-    if args.overlay:
-        Path(args.overlay).write_bytes(raster.write_pnm(overlay))
+    files = [(args.overlay, raster.write_pnm(overlay))] if args.overlay else []
     if args.report:
-        try:
-            Path(args.report).write_bytes((json.dumps(doc, indent=2) + "\n").encode())
-        except OSError:
-            if args.overlay:  # already written; a failure leaves no partial artifact
-                Path(args.overlay).unlink(missing_ok=True)
-            raise
-    _emit(doc)
-    return EXIT_OK
+        files.append((args.report, (json.dumps(doc, indent=2) + "\n").encode()))
+    return doc, files
 
 
-def _cmd_thermal(args) -> int:
+def _cmd_thermal(args) -> tuple:
     from . import thermal
     if args.to_temp is not None:
-        _emit({"temperature_k": thermal.radiance_to_temperature(args.to_temp)})
-    else:
-        _emit({"radiance_w_m2": thermal.temperature_to_radiance(args.to_radiance)})
-    return EXIT_OK
+        return {"temperature_k": thermal.radiance_to_temperature(args.to_temp)}, []
+    return {"radiance_w_m2": thermal.temperature_to_radiance(args.to_radiance)}, []
 
 
-def _cmd_thrust(args) -> int:
+def _cmd_thrust(args) -> tuple:
     from . import sizing
     table = sizing.load_mass_table(_read_text(args.mass_table))
     total_g = sizing.total_mass(table)
     spec = sizing.ThrustSpec(total_g / 1000.0, args.rotors, args.safety)
     kgf = sizing.thrust_per_rotor(spec)
-    _emit({
+    return {
         "total_g": int(total_g) if float(total_g).is_integer() else total_g,
         "per_rotor_kgf": kgf,
         "per_rotor_n": sizing.kgf_to_newtons(kgf),
-    })
-    return EXIT_OK
+    }, []
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     from . import sizing
     cfg = sizing.SimConfig.from_json(_read_text(args.config))
     from . import flight
     trace = flight.simulate_hover(cfg)
-    if args.trace:
-        Path(args.trace).write_bytes(flight.trace_to_csv(trace).encode())
-    _emit({
+    files = [(args.trace, flight.trace_to_csv(trace).encode())] if args.trace else []
+    return {
         "steps": len(trace),
         "controller": cfg.controller,
         "max_abs_roll_rad": float(abs(trace.roll).max()),
@@ -158,8 +139,7 @@ def _cmd_simulate(args) -> int:
         "max_abs_tilt_rad": flight.max_tilt(trace),
         "final_roll_rad": float(trace.roll[-1]),
         "final_pitch_rad": float(trace.pitch[-1]),
-    })
-    return EXIT_OK
+    }, files
 
 
 def _layer_sizes(text: str) -> tuple:
@@ -169,7 +149,7 @@ def _layer_sizes(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad layer list {text!r}") from None
 
 
-def _cmd_nn_demo(args) -> int:
+def _cmd_nn_demo(args) -> tuple:
     import numpy as np
 
     from . import neural
@@ -177,21 +157,18 @@ def _cmd_nn_demo(args) -> int:
     activation = neural.Activation(_ACTIVATIONS[args.activation])
     net = neural.mlp_init(sizes, activation, args.seed)
     rng = np.random.default_rng(args.seed)
+    doc = {"mode": "gradient-check" if args.gradient_check else "diagnose",
+           "layers": list(sizes), "activation": args.activation, "seed": args.seed}
     if args.gradient_check:
         x = rng.uniform(-1.0, 1.0, size=sizes[0])
         target = rng.uniform(0.0, 1.0, size=sizes[-1])
-        err = neural.gradient_check(net, x, target)
-        _emit({"mode": "gradient-check", "layers": list(sizes),
-               "activation": args.activation, "seed": args.seed,
-               "max_relative_error": err})
+        doc["max_relative_error"] = neural.gradient_check(net, x, target)
     else:
         dataset = rng.uniform(0.0, 1.0, size=(32, sizes[0]))
         report = neural.diagnose(net, dataset)
-        _emit({"mode": "diagnose", "layers": list(sizes),
-               "activation": args.activation, "seed": args.seed,
-               "layer_mean_abs_grad": list(report.layer_mean_abs_grad),
-               "dead_neurons": [list(d) for d in report.dead_neurons]})
-    return EXIT_OK
+        doc["layer_mean_abs_grad"] = list(report.layer_mean_abs_grad)
+        doc["dead_neurons"] = [list(d) for d in report.dead_neurons]
+    return doc, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,14 +253,23 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage to stderr
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    created = []  # output paths this call made, the only ones a failure removes
     try:
         try:
-            return args.func(args)
+            payload, files = args.func(args)
+            created = [path for path, _ in files if not os.path.lexists(path)]
+            for path, data in files:
+                Path(path).write_bytes(data)
+            sys.stdout.write(payload if isinstance(payload, str)
+                             else json.dumps(payload, indent=2) + "\n")
         except OSError as exc:  # the one place a file's failure becomes a domain error
+            for path in created:
+                Path(path).unlink(missing_ok=True)
             raise FileAccess(str(exc)) from exc
     except AerobotError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_DOMAIN
+    return EXIT_OK
 
 
 def main() -> None:

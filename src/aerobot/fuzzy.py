@@ -136,9 +136,8 @@ class FuzzySystem:
             in_bounds = MIN_SAMPLES <= operator.index(self.samples) <= MAX_SAMPLES
         except TypeError:
             in_bounds = False
-        if not in_bounds:
-            raise ConfigInvalid(
-                f"samples {self.samples!r} is not an integer in {MIN_SAMPLES}..{MAX_SAMPLES}")
+        if not in_bounds:  # the message leaves out the value: a huge int has no str
+            raise ConfigInvalid(f"samples must be an integer in {MIN_SAMPLES}..{MAX_SAMPLES}")
         try:
             object.__setattr__(self, "inputs", MappingProxyType({v.name: v for v in self.inputs}))
             object.__setattr__(self, "outputs", MappingProxyType({v.name: v for v in self.outputs}))
@@ -182,10 +181,15 @@ def infer(system: FuzzySystem, values: dict) -> dict:
     """
     degrees = {}
     for name, var in system.inputs.items():
-        if name not in values:
-            raise ConfigInvalid(f"missing input {name!r}")
         try:
-            x = var.clamp(float(values[name]))
+            value = values[name]
+        except (KeyError, TypeError) as exc:  # a missing name, or a query that is no mapping
+            raise ConfigInvalid(f"query has no input {name!r}: {exc!r}") from exc
+        # float() would parse text; a float, the usual query, skips the slower type check
+        if type(value) is not float and isinstance(value, (str, bytes, bytearray, memoryview)):
+            raise OutOfRange(f"input {name!r} is text, not a number")
+        try:
+            x = var.clamp(float(value))
         except (OverflowError, TypeError, ValueError) as exc:
             raise OutOfRange(f"input {name!r} is not a number in float range: {exc}") from exc
         if x != x:  # NaN passes the clamp and no set holds it
@@ -262,8 +266,8 @@ def pesticide_dose(density: float, system: FuzzySystem | None = None) -> float:
         in_range = 0.0 <= density <= 1.0
     except TypeError:
         in_range = False
-    if not in_range:
-        raise OutOfRange(f"density {density!r} is not a number in [0, 1]")
+    if not in_range:  # the message leaves out the value: a huge int has no str
+        raise OutOfRange("density is not a number in [0, 1]")
     sys_ = system if system is not None else default_dosing_system()
     if sys_.inputs.keys() != {"green_density"} or "dose" not in sys_.outputs:
         raise ConfigInvalid(f"not a dosing rulebase: {[*sys_.inputs]} -> {[*sys_.outputs]}")
@@ -351,10 +355,13 @@ def _ring_deltas(system: FuzzySystem, azimuths: np.ndarray, name: str, values) -
 def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
     """Zero-sum deltas (B, 8) for a series of arm poses."""
     try:
-        az = np.atleast_1d(np.asarray(azimuths_deg, dtype=np.float64))
-        ext = np.atleast_1d(np.asarray(extensions, dtype=np.float64))
-    except (OverflowError, TypeError, ValueError) as exc:
+        az, ext = np.atleast_1d(azimuths_deg, extensions)
+    except ValueError as exc:  # a ragged series
         raise OutOfRange(f"arm poses must be numbers in float range: {exc}") from exc
+    # numpy would parse text as numbers; an object array holds text or ints past int64
+    if not {az.dtype.kind, ext.dtype.kind} <= set("biuf"):
+        raise OutOfRange(f"arm poses must be real numbers, got {az.dtype} and {ext.dtype}")
+    az, ext = az.astype(np.float64, copy=False), ext.astype(np.float64, copy=False)
     if az.ndim != 1 or az.shape != ext.shape:
         raise DimensionMismatch("azimuths and extensions must be aligned 1-D series")
     if not np.all(np.isfinite(az)):

@@ -17,7 +17,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .errors import ConfigInvalid, NonConvergent, NoStripFound, OutOfRange
+from .errors import (ConfigInvalid, DimensionMismatch, NonBipolarPattern, NonConvergent,
+                     NoStripFound, OutOfRange)
 from .neural import HopfieldNet, hopfield_recall, hopfield_train
 from .raster import Image, to_grayscale
 from .vision import wavelet_response
@@ -127,24 +128,41 @@ def encode_ternary(means) -> np.ndarray:
     return np.where(means >= BRIGHT_MIN, 1, np.where(means <= DARK_MAX, -1, 0))
 
 
+# a code equal to -1, 0 or +1 (an int, bool, float or numpy number) maps to that int
+_CODES = {-1: -1, 0: 0, 1: 1}
+
+
 @lru_cache(maxsize=27)
-def _recall(probe: tuple) -> tuple:
-    """(vertex, verdict) of a ternary probe; only a stored pattern recalls itself, as intact."""
+def _recall(segment: tuple) -> tuple:
+    """(probe, vertex, verdict) of three codes, the probe as ints; only a stored pattern
+    recalls itself, as intact. Equal segments share one entry, so at most 27 exist."""
+    if len(segment) != 3:
+        raise DimensionMismatch(f"a segment holds 3 codes, got {len(segment)}")
+    try:
+        probe = tuple(map(_CODES.__getitem__, segment))
+    except (KeyError, TypeError):  # 1.5, text, 10**400 or a list; the message leaves it out
+        raise NonBipolarPattern("codes must be -1, 0 or +1") from None
     try:
         state, _ = hopfield_recall(sidewalk_memory(), probe, max_iter=MAX_ITER)
     except NonConvergent:
-        return None, UNRESOLVED
+        return probe, None, UNRESOLVED
     vertex = tuple(int(v) for v in state)
-    return vertex, INTACT if vertex == probe else PAINT
+    return probe, vertex, INTACT if vertex == probe else PAINT
 
 
 def classify_segment(encoded, start: int = 0) -> PaintDecision:
     """Look up the nearest pattern of sidewalk_memory() and flag the disagreeing blocks."""
-    encoded = tuple(map(int, encoded))
-    vertex, verdict = _recall(encoded)
-    paint = (tuple(start + i for i in range(3) if encoded[i] != vertex[i])
+    try:
+        segment = tuple(encoded)
+    except TypeError:
+        raise DimensionMismatch("a segment is a sequence of 3 codes") from None
+    try:
+        probe, vertex, verdict = _recall(segment)
+    except TypeError:  # a code the cache cannot hash; the uncached lookup refuses it
+        probe, vertex, verdict = _recall.__wrapped__(segment)
+    paint = (tuple(start + i for i in range(3) if probe[i] != vertex[i])
              if verdict == PAINT else ())
-    return PaintDecision(start, encoded, vertex, verdict, paint)
+    return PaintDecision(start, probe, vertex, verdict, paint)
 
 
 def inspect(img: Image, config: InspectConfig = InspectConfig()) -> tuple[InspectionReport, Image]:

@@ -1,3 +1,5 @@
+import ast
+import errno
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from aerobot import cli, errors
+from aerobot import cli, errors, flight, raster
 from aerobot.raster import Image, parse_pnm, write_pnm
 from aerobot.sidewalk import SidewalkParams, generate_sidewalk
 from aerobot.sizing import SimConfig
@@ -624,6 +626,109 @@ class TestContract:
 
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_stdout.json"
+
+
+# names through which a function could write stdout, stderr or a file
+WRITERS = {"print", "open", "stdout", "stderr", "write", "write_bytes", "write_text",
+           "writelines", "unlink", "rename", "replace", "mkdir", "touch"}
+
+
+def writers_used(fn: ast.FunctionDef) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(fn)
+            if isinstance(n, (ast.Name, ast.Attribute))} & WRITERS
+
+
+def sim_config(path: Path) -> Path:
+    cfg = SimConfig(duration_s=0.05, arm_trajectory=((0.0, 0.0, 1.0), (0.05, 9.0, 1.0)))
+    path.write_text(json.dumps(asdict(cfg)))
+    return path
+
+
+class TestSingleWriter:
+    """Commands return their payload and files; only run writes them, and a failure
+    removes only the output paths the call created."""
+
+    def test_only_run_writes(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        assert sum(name.startswith("_cmd_") for name in functions) == 10
+        assert {name: writers_used(f) for name, f in functions.items() if name != "run"} \
+            == {name: set() for name in functions if name != "run"}
+        assert writers_used(functions["run"]) == {"stdout", "stderr", "write", "write_bytes",
+                                                  "unlink"}
+
+    def test_the_audit_sees_a_write(self):
+        tree = ast.parse("def _cmd_x(args):\n    sys.stdout.write('x')\n"
+                         "    Path(args.out).write_bytes(b'')\n")
+        assert writers_used(tree.body[0]) == {"stdout", "write", "write_bytes"}
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (["otsu", "{gradient}"], raster, "write_pnm"),
+        (["green-density", "{field}"], raster, "write_pnm"),
+        (["inspect-sidewalk", "{curb}"], raster, "write_pnm"),
+        (["simulate", "--config", "{config}"], flight, "trace_to_csv"),
+    ], ids=["otsu", "green-density", "inspect-sidewalk", "simulate"])
+    def test_no_output_is_built_unless_asked_for(self, capsys, monkeypatch, tmp_path,
+                                                 gradient_pgm, half_green_ppm, sidewalk_pgm,
+                                                 argv, module, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} ran for an output nobody asked for")
+
+        names = {"gradient": gradient_pgm, "field": half_green_ppm, "curb": sidewalk_pgm,
+                 "config": sim_config(tmp_path / "sim.json")}
+        monkeypatch.setattr(module, name, refuse)
+        code, out, err = run(capsys, *(a.format(**names) for a in argv))
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("kind", ["created", "regular-file", "symlink"])
+    def test_a_failed_second_write_removes_only_what_the_call_created(
+            self, capsys, monkeypatch, tmp_path, sidewalk_pgm, kind):
+        overlay, target = tmp_path / "overlay.pgm", tmp_path / "target.pgm"
+        if kind == "regular-file":
+            overlay.write_bytes(b"kept")
+        elif kind == "symlink":
+            target.write_bytes(b"kept")
+            overlay.symlink_to(target)
+        unlinked, unlink = [], Path.unlink
+        monkeypatch.setattr(Path, "unlink",
+                            lambda path, missing_ok=False: (unlinked.append(path),
+                                                            unlink(path, missing_ok))[1])
+        report = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "inspect-sidewalk", str(sidewalk_pgm),
+                             "--overlay", str(overlay), "--report", str(report))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: FileAccess: [Errno 2] No such file or directory")
+        if kind == "created":
+            assert not os.path.lexists(overlay) and overlay in unlinked
+        else:  # the earlier output keeps what this call wrote into it
+            assert overlay not in unlinked and overlay.is_symlink() == (kind == "symlink")
+            assert parse_pnm(overlay.read_bytes()).channels == 1
+        assert set(unlinked) <= {overlay, report}
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (["otsu", "{gradient}", "--out", "{out}.pgm"], [".pgm"]),
+        (["green-density", "{field}", "--mask", "{out}.pgm"], [".pgm"]),
+        (["simulate", "--config", "{config}", "--trace", "{out}.csv"], [".csv"]),
+        (["inspect-sidewalk", "{curb}", "--overlay", "{out}.pgm", "--report", "{out}.json"],
+         [".pgm", ".json"]),
+    ], ids=["otsu", "green-density", "simulate", "inspect-sidewalk"])
+    def test_a_write_that_fails_midway_leaves_no_file(self, capsys, monkeypatch, tmp_path,
+                                                      gradient_pgm, half_green_ppm,
+                                                      sidewalk_pgm, argv, outputs):
+        def half_then_fail(path, data):
+            with open(path, "wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        names = {"gradient": gradient_pgm, "field": half_green_ppm, "curb": sidewalk_pgm,
+                 "config": sim_config(tmp_path / "sim.json"), "out": tmp_path / "out"}
+        inputs = set(tmp_path.iterdir())
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        code, out, err = run(capsys, *(a.format(**names) for a in argv))
+        first = tmp_path / f"out{outputs[0]}"
+        assert (code, out) == (1, "")
+        assert err == f"error: FileAccess: [Errno 28] No space left on device: '{first}'\n"
+        assert set(tmp_path.iterdir()) == inputs
 
 
 def golden_calls(d: Path) -> dict:

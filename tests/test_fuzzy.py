@@ -395,6 +395,27 @@ class TestPesticideDose:
         with pytest.raises(OutOfRange):
             infer(system, {"green_density": 0.5, "wind": value})
 
+    @pytest.mark.parametrize("text", ["0.5", b"0.5", bytearray(b"0.5"), memoryview(b"0.5")],
+                             ids=["str", "bytes", "bytearray", "memoryview"])
+    def test_query_value_that_is_text_is_out_of_range(self, text):
+        """float() would parse each of these as 0.5 and return a dose."""
+        with pytest.raises(OutOfRange, match="text"):
+            infer(default_dosing_system(), {"green_density": text})
+
+    @pytest.mark.parametrize("query", [None, 0.5, "green_density", ["green_density"], {}])
+    def test_query_that_is_not_a_mapping_with_every_input_is_config_invalid(self, query):
+        with pytest.raises(ConfigInvalid, match="no input 'green_density'"):
+            infer(default_dosing_system(), query)
+
+    def test_refusing_a_huge_int_does_not_print_it(self):
+        """A 5000-digit int has no str under Python's digit limit: the message leaves it out."""
+        with pytest.raises(OutOfRange, match=r"density is not a number in \[0, 1\]"):
+            pesticide_dose(10**5000)
+        system = default_dosing_system()
+        with pytest.raises(ConfigInvalid, match="samples must be an integer"):
+            FuzzySystem(list(system.inputs.values()), list(system.outputs.values()),
+                        system.rules, samples=10**5000)
+
     @pytest.mark.parametrize("built_in", [default_dosing_system, arm_compensation_system,
                                           tilt_compensation_system])
     def test_shared_systems_refuse_writes(self, built_in):
@@ -527,6 +548,16 @@ class TestStabilizer:
             arm_compensation_deltas(bad, [0.5] * len(bad))
         with pytest.raises(OutOfRange):
             arm_compensation_deltas([0.0] * len(bad), bad)
+
+    @pytest.mark.parametrize("bad", [["0.5"], [b"0.5"], np.array(["0.5"]), [0.5j],
+                                     [[0.5], [0.5, 1.0]]],
+                             ids=["str", "bytes", "str-array", "complex", "ragged"])
+    def test_poses_that_numpy_would_parse_or_cast_are_out_of_range(self, bad):
+        """np.asarray(..., float64) parses text, so ["0.5"] used to give deltas."""
+        with pytest.raises(OutOfRange):
+            arm_compensation_deltas(bad, [0.5] * len(bad))
+        with pytest.raises(OutOfRange):
+            arm_compensation_deltas([90.0] * len(bad), bad)
 
     @pytest.mark.parametrize("roll", [None, pytest.param(10**400, id="10**400"), "0.1", [0.1]])
     def test_tilt_that_is_not_a_number_is_out_of_range(self, roll):

@@ -354,6 +354,32 @@ class TestClassifySegment:
         after = sidewalk._recall.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
+    @pytest.mark.parametrize("probe", [
+        (1.5, -1, 1), (0.9, -1, 1), ("1", "-1", "1"), pytest.param((10**400, 0, 0), id="10**400"),
+        pytest.param((10**5000, 0, 0), id="10**5000"), ("a", 0, 0), (float("nan"), 0, 0),
+        ([1], 0, 0), "101",
+    ])
+    def test_a_code_outside_the_three_values_is_non_bipolar(self, probe):
+        """int() used to truncate 1.5 to an intact 1 and parse "1"; the rest leaked."""
+        with pytest.raises(NonBipolarPattern):
+            classify_segment(probe)
+
+    @pytest.mark.parametrize("probe", [None, 5, 1.0, (1, -1, 1, 0), [[1, -1, 1]]])
+    def test_a_segment_that_is_not_three_codes_is_a_dimension_mismatch(self, probe):
+        with pytest.raises(DimensionMismatch):
+            classify_segment(probe)
+
+    def test_codes_equal_to_the_three_values_share_the_27_entries(self):
+        sidewalk._recall.cache_clear()
+        for probe in itertools.product((-1, 0, 1), repeat=3):
+            expected = classify_segment(probe, start=2)
+            for same in (tuple(map(float, probe)), np.array(probe), np.array(probe, np.int8),
+                         [bool(c) if c >= 0 else c for c in probe]):
+                decision = classify_segment(same, start=2)
+                assert decision == expected
+                assert all(type(c) is int for c in decision.encoded)
+        assert sidewalk._recall.cache_info().currsize == 27
+
     def test_only_stored_patterns_recall_themselves(self):
         fixed = set()
         for probe in itertools.product((-1, 0, 1), repeat=3):
