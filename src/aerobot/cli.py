@@ -263,8 +263,8 @@ def run(argv=None) -> int:
             sys.stdout.write(payload if isinstance(payload, str)
                              else json.dumps(payload, indent=2) + "\n")
         except OSError as exc:  # the one place a file's failure becomes a domain error
-            for path in created:
-                Path(path).unlink(missing_ok=True)
+            for path in filter(os.path.lexists, created):  # one it could not make is absent
+                Path(path).unlink()
             raise FileAccess(str(exc)) from exc
     except AerobotError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -27,6 +27,8 @@ N_ROTORS = 8
 MIN_SAMPLES = 51
 MAX_SAMPLES = 10_001
 ROTOR_AZIMUTHS_DEG = tuple(45.0 * i for i in range(N_ROTORS))
+# what float() and numpy parse as a number though it is text; a query or pose refuses it
+_TEXT = (str, bytes, bytearray, memoryview)
 
 
 def _floats(values, n: int, what: str) -> tuple:
@@ -186,7 +188,7 @@ def infer(system: FuzzySystem, values: dict) -> dict:
         except (KeyError, TypeError) as exc:  # a missing name, or a query that is no mapping
             raise ConfigInvalid(f"query has no input {name!r}: {exc!r}") from exc
         # float() would parse text; a float, the usual query, skips the slower type check
-        if type(value) is not float and isinstance(value, (str, bytes, bytearray, memoryview)):
+        if type(value) is not float and isinstance(value, _TEXT):
             raise OutOfRange(f"input {name!r} is text, not a number")
         try:
             x = var.clamp(float(value))
@@ -352,16 +354,22 @@ def _ring_deltas(system: FuzzySystem, azimuths: np.ndarray, name: str, values) -
     return np.concatenate([half, -half], axis=1)
 
 
+def _holds_text(values) -> bool:
+    """True for text or an array of it, which np.asarray(..., float64) would parse as numbers."""
+    raw = np.asarray(values)
+    return raw.dtype.kind in "USV" or (raw.dtype.kind == "O"
+                                       and any(isinstance(v, _TEXT) for v in raw.flat))
+
+
 def arm_compensation_deltas(azimuths_deg, extensions) -> np.ndarray:
     """Zero-sum deltas (B, 8) for a series of arm poses."""
     try:
-        az, ext = np.atleast_1d(azimuths_deg, extensions)
-    except ValueError as exc:  # a ragged series
+        az = np.atleast_1d(np.asarray(azimuths_deg, dtype=np.float64))
+        ext = np.atleast_1d(np.asarray(extensions, dtype=np.float64))
+    except (OverflowError, TypeError, ValueError) as exc:
         raise OutOfRange(f"arm poses must be numbers in float range: {exc}") from exc
-    # numpy would parse text as numbers; an object array holds text or ints past int64
-    if not {az.dtype.kind, ext.dtype.kind} <= set("biuf"):
-        raise OutOfRange(f"arm poses must be real numbers, got {az.dtype} and {ext.dtype}")
-    az, ext = az.astype(np.float64, copy=False), ext.astype(np.float64, copy=False)
+    if _holds_text(azimuths_deg) or _holds_text(extensions):
+        raise OutOfRange("arm poses must be numbers, not text")
     if az.ndim != 1 or az.shape != ext.shape:
         raise DimensionMismatch("azimuths and extensions must be aligned 1-D series")
     if not np.all(np.isfinite(az)):

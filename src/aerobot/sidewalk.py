@@ -133,21 +133,14 @@ _CODES = {-1: -1, 0: 0, 1: 1}
 
 
 @lru_cache(maxsize=27)
-def _recall(segment: tuple) -> tuple:
-    """(probe, vertex, verdict) of three codes, the probe as ints; only a stored pattern
-    recalls itself, as intact. Equal segments share one entry, so at most 27 exist."""
-    if len(segment) != 3:
-        raise DimensionMismatch(f"a segment holds 3 codes, got {len(segment)}")
-    try:
-        probe = tuple(map(_CODES.__getitem__, segment))
-    except (KeyError, TypeError):  # 1.5, text, 10**400 or a list; the message leaves it out
-        raise NonBipolarPattern("codes must be -1, 0 or +1") from None
+def _recall(probe: tuple) -> tuple:
+    """(vertex, verdict) of a ternary probe; only a stored pattern recalls itself, as intact."""
     try:
         state, _ = hopfield_recall(sidewalk_memory(), probe, max_iter=MAX_ITER)
     except NonConvergent:
-        return probe, None, UNRESOLVED
+        return None, UNRESOLVED
     vertex = tuple(int(v) for v in state)
-    return probe, vertex, INTACT if vertex == probe else PAINT
+    return vertex, INTACT if vertex == probe else PAINT
 
 
 def classify_segment(encoded, start: int = 0) -> PaintDecision:
@@ -156,10 +149,13 @@ def classify_segment(encoded, start: int = 0) -> PaintDecision:
         segment = tuple(encoded)
     except TypeError:
         raise DimensionMismatch("a segment is a sequence of 3 codes") from None
+    if len(segment) != 3:
+        raise DimensionMismatch(f"a segment holds 3 codes, got {len(segment)}")
     try:
-        probe, vertex, verdict = _recall(segment)
-    except TypeError:  # a code the cache cannot hash; the uncached lookup refuses it
-        probe, vertex, verdict = _recall.__wrapped__(segment)
+        probe = tuple(map(_CODES.__getitem__, segment))
+    except (KeyError, TypeError):  # 1.5, text, 10**400 or a list; the message leaves it out
+        raise NonBipolarPattern("codes must be -1, 0 or +1") from None
+    vertex, verdict = _recall(probe)
     paint = (tuple(start + i for i in range(3) if probe[i] != vertex[i])
              if verdict == PAINT else ())
     return PaintDecision(start, probe, vertex, verdict, paint)

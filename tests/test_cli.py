@@ -550,6 +550,12 @@ HOSTILE = {
     # the report write fails after the overlay was written; the overlay is removed
     "report-missing-dir": (["inspect-sidewalk", "{curb}", "--overlay", "{out}.pgm",
                             "--report", "{out}/r.json"], None, "FileAccess"),
+    # outputs that cannot even be looked up (ENOTDIR, ENAMETOOLONG): nothing is removed
+    "otsu-out-under-a-file": (["otsu", "{edges}", "--out", "{edges}/x.pgm"], None, "FileAccess"),
+    "otsu-out-name-too-long": (["otsu", "{edges}", "--out", "{out}" + "x" * 300], None,
+                               "FileAccess"),
+    "report-under-a-file": (["inspect-sidewalk", "{curb}", "--overlay", "{out}.pgm",
+                             "--report", "{edges}/r.json"], None, "FileAccess"),
 }
 
 
@@ -729,6 +735,21 @@ class TestSingleWriter:
         assert (code, out) == (1, "")
         assert err == f"error: FileAccess: [Errno 28] No space left on device: '{first}'\n"
         assert set(tmp_path.iterdir()) == inputs
+
+    def test_a_failed_stdout_write_removes_only_what_the_call_created(
+            self, capsys, monkeypatch, tmp_path, sidewalk_pgm):
+        """A call that exits 1 leaves no file it created, even when only stdout failed."""
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        overlay, report = tmp_path / "overlay.pgm", tmp_path / "r.json"
+        overlay.write_bytes(b"kept")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.run(["inspect-sidewalk", str(sidewalk_pgm), "--overlay", str(overlay),
+                        "--report", str(report)])
+        assert (code, capsys.readouterr().err) == (1, "error: FileAccess: [Errno 32] Broken pipe\n")
+        assert not os.path.lexists(report) and parse_pnm(overlay.read_bytes()).channels == 1
 
 
 def golden_calls(d: Path) -> dict:

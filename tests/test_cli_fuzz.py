@@ -32,7 +32,7 @@ DOSING = resources.files("aerobot.assets").joinpath("dosing.json").read_text()
 TABLE = resources.files("aerobot.assets").joinpath("table1.csv").read_text()
 # files every pool can name; a file in {new} does not exist until a call writes it
 UNREADABLE = ["{dir}/missing", "{dir}", "{dir}/garbage"]
-OUTPUTS = ["{new}/a", "{new}/b", "{dir}/missing/x", "{dir}"]
+OUTPUTS = ["{new}/a", "{new}/b", "{dir}/missing/x", "{dir}/garbage/x", "{dir}"]
 
 
 def _pgm(arr) -> bytes:

@@ -3,6 +3,8 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -549,15 +551,23 @@ class TestStabilizer:
         with pytest.raises(OutOfRange):
             arm_compensation_deltas([0.0] * len(bad), bad)
 
-    @pytest.mark.parametrize("bad", [["0.5"], [b"0.5"], np.array(["0.5"]), [0.5j],
-                                     [[0.5], [0.5, 1.0]]],
-                             ids=["str", "bytes", "str-array", "complex", "ragged"])
+    @pytest.mark.parametrize("bad", [["0.5"], [b"0.5"], np.array(["0.5"]), [2**64, "0.5"],
+                                     [0.5j], [[0.5], [0.5, 1.0]]],
+                             ids=["str", "bytes", "str-array", "text-in-objects", "complex",
+                                  "ragged"])
     def test_poses_that_numpy_would_parse_or_cast_are_out_of_range(self, bad):
         """np.asarray(..., float64) parses text, so ["0.5"] used to give deltas."""
         with pytest.raises(OutOfRange):
             arm_compensation_deltas(bad, [0.5] * len(bad))
         with pytest.raises(OutOfRange):
             arm_compensation_deltas([90.0] * len(bad), bad)
+
+    @pytest.mark.parametrize("azimuth", [2**64, Decimal("90"), Fraction(181, 2), True],
+                             ids=["2**64", "decimal", "fraction", "bool"])
+    def test_poses_that_are_numbers_in_float_range_are_taken_as_floats(self, azimuth):
+        """Only text is refused; an object array of numbers converts as before."""
+        expected = arm_compensation_deltas([float(azimuth)], [0.5])
+        np.testing.assert_array_equal(arm_compensation_deltas([azimuth], [0.5]), expected)
 
     @pytest.mark.parametrize("roll", [None, pytest.param(10**400, id="10**400"), "0.1", [0.1]])
     def test_tilt_that_is_not_a_number_is_out_of_range(self, roll):

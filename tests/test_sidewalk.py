@@ -351,8 +351,7 @@ class TestClassifySegment:
         for _ in range(2):
             with pytest.raises(error):
                 classify_segment(probe)
-        after = sidewalk._recall.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+        assert sidewalk._recall.cache_info() == before  # refused before the probe table
 
     @pytest.mark.parametrize("probe", [
         (1.5, -1, 1), (0.9, -1, 1), ("1", "-1", "1"), pytest.param((10**400, 0, 0), id="10**400"),
