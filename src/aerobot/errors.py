@@ -1,10 +1,15 @@
-"""Exception hierarchy shared by all aerobot modules.
+"""One class per kind of refusal, all under AerobotError, and `shown` for their messages.
 
-Every refusal in the package is an AerobotError, a ValueError since each one refuses an
-input value. The CLI maps this family, and nothing else, to exit 1. There is one class
-per kind of refusal: a number or size outside the bounds its function states is
-`OutOfRange`, and its message names the bound that broke.
+AerobotError is a ValueError; the CLI maps this family, and nothing else, to exit 1.
 """
+
+
+def shown(value) -> str:
+    """value as an f-string prints it, or an int too long for str() as its bit count."""
+    try:
+        return format(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits() digits
+        return "-" * (value < 0) + f"<{value.bit_length()}-bit int>"
 
 
 class AerobotError(ValueError):
@@ -19,38 +24,24 @@ class FileAccess(AerobotError):
     """The CLI cannot read or write a named file (missing, a directory, no permission)."""
 
 
-# raster -----------------------------------------------------------------
+class ParseError(AerobotError):
+    """A PNM, CSV or JSON input failed to parse; a CSV error carries its row."""
 
-class BadMagic(AerobotError):
-    """Input does not start with a supported PNM magic number."""
-
-
-class TruncatedData(AerobotError):
-    """PNM header or raster ends before the declared sample count."""
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message if row is None else f"row {row}: {message}")
+        self.row = row
 
 
-class NotGrayscale(AerobotError):
-    """Operation requires a single-channel image."""
-
-
-class NotRGB(AerobotError):
-    """Operation requires a three-channel image."""
-
-
-# vision -----------------------------------------------------------------
-
-class DegenerateHistogram(AerobotError):
-    """All histogram mass sits in one bin; no two-class split exists."""
+class DimensionMismatch(AerobotError):
+    """An array's length or shape, or an image's channel count, is not the one it must have."""
 
 
 class ZeroVariance(AerobotError):
-    """All input vectors are identical; covariance is identically zero."""
+    """The input has no spread: identical vectors, or one gray level."""
 
 
-# neural -----------------------------------------------------------------
-
-class DimensionMismatch(AerobotError):
-    """An array's length or shape does not match the size it must have or is paired with."""
+class EmptyDataset(AerobotError):
+    """An input holds no samples: a dataset, histogram, Hopfield pattern list or filter bank."""
 
 
 class NonBipolarPattern(AerobotError):
@@ -61,33 +52,13 @@ class NonConvergent(AerobotError):
     """Recall found no zero-free fixed point within the sweep budget."""
 
 
-class EmptyDataset(AerobotError):
-    """An input holds no samples: a dataset, histogram, Hopfield pattern list or filter bank."""
-
-
-# sidewalk ---------------------------------------------------------------
-
 class NoStripFound(AerobotError):
     """No horizontal band produced a wavelet response above the floor."""
 
-
-# fuzzy ------------------------------------------------------------------
 
 class NoRuleFired(AerobotError):
     """Aggregated output membership is identically zero for an output."""
 
 
-# flight -----------------------------------------------------------------
-
 class ConfigInvalid(AerobotError):
     """A simulation, inspection, activation or Gabor setting, a rulebase or its query is invalid."""
-
-
-class ParseError(AerobotError):
-    """A CSV/JSON input failed to parse; carries the offending row."""
-
-    def __init__(self, message: str, row: int | None = None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row

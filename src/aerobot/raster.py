@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DimensionMismatch,
-    NotGrayscale,
-    OutOfRange,
-    TruncatedData,
-)
+from .errors import DimensionMismatch, OutOfRange, ParseError, shown
 
 # BT.601 luma weights; the RGB -> gray rule used everywhere in the package.
 _LUMA_R, _LUMA_G, _LUMA_B = 0.299, 0.587, 0.114
@@ -33,13 +27,18 @@ class Image:
     samples: bytes
 
     def __post_init__(self):
+        # a float or bool size would reach write_pnm's header, which parse_pnm refuses
+        if not all(type(n) is int or isinstance(n, np.integer) for n in (self.width, self.height)):
+            raise OutOfRange(f"width and height must be integers, got {type(self.width).__name__} "
+                             f"and {type(self.height).__name__}")
         if self.width < 1 or self.height < 1:
-            raise OutOfRange(f"width and height must be positive, got {self.width}x{self.height}")
+            raise OutOfRange(f"width and height must be positive, got "
+                             f"{shown(self.width)}x{shown(self.height)}")
         if self.channels not in (1, 3):
-            raise OutOfRange(f"channels must be 1 or 3, got {self.channels}")
+            raise OutOfRange(f"channels must be 1 or 3, got {shown(self.channels)}")
         expected = self.width * self.height * self.channels
         if len(self.samples) != expected:
-            raise DimensionMismatch(f"expected {expected} samples, got {len(self.samples)}")
+            raise DimensionMismatch(f"expected {shown(expected)} samples, got {len(self.samples)}")
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Image":
@@ -92,10 +91,13 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     """Next header token as an int; only plain decimal digits are accepted."""
     match = _TOKEN.match(data, pos)
     if not match[1]:
-        raise TruncatedData("header ended early")
+        raise ParseError("header ended early")
     if not match[1].isdigit():
-        raise TruncatedData(f"bad {what} token {match[1]!r}")
-    return int(match[1]), match.end()
+        raise ParseError(f"bad {what} token {match[1]!r}")
+    try:
+        return int(match[1]), match.end()
+    except ValueError:  # past int()'s digit limit, so past any sample count a file can hold
+        raise ParseError(f"{what} token has {len(match[1])} digits") from None
 
 
 def _decimal_samples(body: bytes | memoryview, count: int) -> np.ndarray:
@@ -112,18 +114,18 @@ def _decimal_samples(body: bytes | memoryview, count: int) -> np.ndarray:
     text = bytearray().join((b"  ", body, b" "))
     # signs, underscores and partial tokens such as 12abc are rejected
     if text.translate(None, _DIGITS_AND_SPACE):
-        raise TruncatedData("raster holds a byte that is neither a digit nor whitespace")
+        raise ParseError("raster holds a byte that is neither a digit nor whitespace")
     d = np.frombuffer(text, np.uint8)  # writable, so the arithmetic below runs in place
     digit = d >= 48  # every other byte left is whitespace
     ends = np.flatnonzero(digit[2:-1] > digit[3:])[:count]  # token ends, as d[2:] offsets
     if len(ends) < count:
-        raise TruncatedData(f"raster has {len(ends)} of {count} samples")
+        raise ParseError(f"raster has {len(ends)} of {shown(count)} samples")
     n = ends[-1] + 3
     big = d[:n - 3] > 48
     for k in (1, 2, 3):
         big &= digit[k:n - 3 + k]
     if big.any():
-        raise TruncatedData("raster holds a sample of 1000 or more")
+        raise ParseError("raster holds a sample of 1000 or more")
     del big
     d -= 48
     d *= digit  # digit values, whitespace reads as 0
@@ -143,16 +145,16 @@ def parse_pnm(data: bytes) -> Image:
     """
     magic = data[:2]
     if magic not in _MAGIC_CHANNELS:
-        raise BadMagic(f"unsupported magic {magic!r}")
+        raise ParseError(f"unsupported magic {magic!r}")
     channels = _MAGIC_CHANNELS[magic]
     pos = 2
     width, pos = _int_token(data, pos, "width")
     height, pos = _int_token(data, pos, "height")
     if width <= 0 or height <= 0:
-        raise OutOfRange(f"width and height must be positive, got {width}x{height}")
+        raise OutOfRange(f"width and height must be positive, got {shown(width)}x{shown(height)}")
     maxval, pos = _int_token(data, pos, "maxval")
     if not 1 <= maxval <= 255:
-        raise OutOfRange(f"maxval {maxval} outside 1..255")
+        raise OutOfRange(f"maxval {shown(maxval)} outside 1..255")
 
     count = width * height * channels
     if magic in _MAGIC_ASCII:
@@ -162,13 +164,13 @@ def parse_pnm(data: bytes) -> Image:
     else:
         # exactly one whitespace byte separates the header from the raster
         if pos >= len(data) or not data[pos:pos + 1].isspace():
-            raise TruncatedData("missing raster separator")
+            raise ParseError("missing raster separator")
         values = np.frombuffer(data, np.uint8, offset=pos + 1)[:count]
     if len(values) < count:
-        raise TruncatedData(f"raster has {len(values)} of {count} samples")
+        raise ParseError(f"raster has {len(values)} of {shown(count)} samples")
     top = int(values.max())
     if top > maxval:
-        raise TruncatedData(f"sample {top} outside 0..{maxval}")
+        raise ParseError(f"sample {top} outside 0..{maxval}")
     if maxval < 255:
         # rescale to 0..255, rounding half up; v * 255 + maxval // 2 stays below 2**16.
         # ASCII samples already sit in a writable uint16 array; binary ones are copied
@@ -201,6 +203,6 @@ def to_grayscale(img: Image) -> Image:
 def histogram(img: Image) -> Histogram:
     """Gray-level counts; bins sum to width*height."""
     if img.channels != 1:
-        raise NotGrayscale("histogram requires a gray image")
+        raise DimensionMismatch("histogram requires a gray image")
     counts = np.bincount(np.frombuffer(img.samples, dtype=np.uint8), minlength=256)
     return Histogram(tuple(counts.tolist()))

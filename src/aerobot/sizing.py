@@ -11,10 +11,11 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
-from .errors import ConfigInvalid, OutOfRange, ParseError
+from .errors import ConfigInvalid, OutOfRange, ParseError, shown
 
 GRAVITY = 9.80665  # m/s^2, standard
 # largest duration_s / dt_s accepted; bounds the trace and its allocations
@@ -29,10 +30,15 @@ class MassEntry:
 
     def __post_init__(self):
         if self.count < 1:
-            raise OutOfRange(f"{self.name!r}: count {self.count} below 1")
-        # an int count past float range raises OverflowError here
-        if not 0 <= self.grams * self.count < math.inf:
-            raise OutOfRange(f"{self.name!r}: {self.count} x {self.grams} g not finite or < 0")
+            raise OutOfRange(f"{self.name!r}: count {shown(self.count)} below 1")
+        try:
+            mass = self.grams * self.count
+        except OverflowError as exc:  # a float times an int past float range
+            raise OutOfRange(str(exc)) from None
+        # an int product is exact, so it is checked against the largest float, not inf
+        if not 0 <= mass <= sys.float_info.max:
+            raise OutOfRange(f"{self.name!r}: {shown(self.count)} x {shown(self.grams)} g "
+                             "not finite or < 0")
 
 
 def total_mass(table: tuple) -> float:

@@ -9,22 +9,14 @@ blackbody power/temperature pair lives in `thermal`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigInvalid,
-    DegenerateHistogram,
-    DimensionMismatch,
-    EmptyDataset,
-    NotGrayscale,
-    NotRGB,
-    OutOfRange,
-    ZeroVariance,
-)
+from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset, OutOfRange, ZeroVariance, shown
 from .raster import Histogram, Image
 
 DEFAULT_EXG_THRESHOLD = 20
@@ -70,10 +62,12 @@ class GaborParams:
     sigma: float             # Gaussian envelope scale, pixels
 
     def __post_init__(self):
-        if not (0 < self.wavelength < math.inf and 0 < self.sigma < math.inf
-                and math.isfinite(self.orientation)):
-            raise ConfigInvalid(f"wavelength {self.wavelength} and sigma {self.sigma} must be "
-                                f"positive and finite, orientation {self.orientation} finite")
+        big = sys.float_info.max  # an int past it is below inf but overflows float arithmetic
+        if not (0 < self.wavelength <= big and 0 < self.sigma <= big
+                and -big <= self.orientation <= big):
+            raise ConfigInvalid(f"wavelength {shown(self.wavelength)} and sigma "
+                                f"{shown(self.sigma)} must be positive and finite, "
+                                f"orientation {shown(self.orientation)} finite")
         # gabor_kernel's radius ceil(3 * sigma / GABOR_ASPECT) passes the cap when its argument does
         if 3.0 * (self.sigma / GABOR_ASPECT) > MAX_KERNEL_RADIUS:
             raise ConfigInvalid(f"kernel radius outside 1..{MAX_KERNEL_RADIUS}: sigma {self.sigma}")
@@ -108,8 +102,8 @@ def otsu_threshold(hist: Histogram) -> int:
         raise EmptyDataset("histogram is empty")
     nonzero = [v for v in range(256) if bins[v] > 0]
     if len(nonzero) == 1:
-        raise DegenerateHistogram(f"all mass in bin {nonzero[0]}; "
-                                  "between-class variance is 0 everywhere")
+        raise ZeroVariance(f"all mass in bin {nonzero[0]}; "
+                           "between-class variance is 0 everywhere")
 
     total_sum = sum(v * bins[v] for v in nonzero)
     best_t = 0
@@ -138,7 +132,7 @@ def otsu_threshold(hist: Histogram) -> int:
 def green_density(img: Image, exg_threshold: int = DEFAULT_EXG_THRESHOLD) -> GreenDensity:
     """Fraction of pixels with excess-green index 2G - R - B above the threshold."""
     if img.channels != 3:
-        raise NotRGB("green density requires an RGB image")
+        raise DimensionMismatch("green density requires an RGB image")
     rgb = img.to_array().astype(np.int16)  # ExG spans -510..510
     exg = 2 * rgb[:, :, 1] - rgb[:, :, 0] - rgb[:, :, 2]
     green = exg > exg_threshold
@@ -158,10 +152,10 @@ def mexican_hat_kernel(sigma: float) -> np.ndarray:
     at the kernel's corner, raises OutOfRange before anything is built.
     """
     if not 0 < sigma < math.inf:
-        raise OutOfRange(f"sigma {sigma} must be positive and finite")
+        raise OutOfRange(f"sigma {shown(sigma)} must be positive and finite")
     # ceil(4 * sigma) passes an integer bound exactly when 4 * sigma does, and is >= 1
     if 4 * sigma > MAX_KERNEL_RADIUS:
-        raise OutOfRange(f"kernel radius outside 1..{MAX_KERNEL_RADIUS}: sigma {sigma}")
+        raise OutOfRange(f"kernel radius outside 1..{MAX_KERNEL_RADIUS}: sigma {shown(sigma)}")
     radius = math.ceil(4 * sigma)
     # an infinite u makes (1 - u) * exp(-u) NaN; r^2 is largest, 2 radius^2, at a corner
     two_s2 = 2.0 * float(sigma) * float(sigma)
@@ -203,7 +197,7 @@ def _reflect_convolve(arr: np.ndarray, kernel_shape: tuple, spectrum: np.ndarray
 def wavelet_response(img: Image, sigma: float) -> ResponseMap:
     """Signed Mexican-Hat coefficient array of a gray image."""
     if img.channels != 1:
-        raise NotGrayscale("wavelet response requires a gray image")
+        raise DimensionMismatch("wavelet response requires a gray image")
     kernel = mexican_hat_kernel(sigma)
     arr = img.to_array()
     values = _reflect_convolve(arr, kernel.shape, _kernel_spectrum(kernel, arr.shape))
@@ -222,12 +216,14 @@ def hough_lines(edges: Image, theta_step: float = 1.0, threshold: int = 1) -> li
     or OutOfRange is raised.
     """
     if edges.channels != 1:
-        raise NotGrayscale("edge image must be gray")
+        raise DimensionMismatch("edge image must be gray")
     if not threshold >= 1:  # below 1 vote every cell is a hit, a list that grows with the image
-        raise OutOfRange(f"threshold {threshold} must be at least 1")
-    n_theta = 180.0 / theta_step if 0 < theta_step < math.inf else math.inf
-    if n_theta > MAX_THETAS or n_theta != round(n_theta):
-        raise OutOfRange(f"theta_step {theta_step} must divide 180 in at most {MAX_THETAS} steps")
+        raise OutOfRange(f"threshold {shown(threshold)} must be at least 1")
+    # 180.0 over an int past float range overflows; 180 over it is 0.0, which the bound refuses
+    n_theta = 180 / theta_step if 0 < theta_step < math.inf else math.inf
+    if not 1 <= n_theta <= MAX_THETAS or n_theta != round(n_theta):
+        raise OutOfRange(f"theta_step {shown(theta_step)} must divide 180 in at most {MAX_THETAS} "
+                         "steps")
     ys, xs = np.divmod(np.flatnonzero(np.frombuffer(edges.samples, np.uint8) == 255), edges.width)
     if len(xs) == 0:
         return []
@@ -297,11 +293,11 @@ def hough_circles(edges: Image, r_min: int, r_max: int, threshold: int = 1) -> l
     sorted by votes descending; a threshold below 1, or NaN, raises OutOfRange.
     """
     if edges.channels != 1:
-        raise NotGrayscale("edge image must be gray")
+        raise DimensionMismatch("edge image must be gray")
     if not threshold >= 1:
-        raise OutOfRange(f"threshold {threshold} must be at least 1")
+        raise OutOfRange(f"threshold {shown(threshold)} must be at least 1")
     if not 0 < r_min <= r_max:
-        raise OutOfRange(f"need 0 < r_min <= r_max, got {r_min} and {r_max}")
+        raise OutOfRange(f"need 0 < r_min <= r_max, got {shown(r_min)} and {shown(r_max)}")
     ys, xs = np.divmod(np.flatnonzero(np.frombuffer(edges.samples, np.uint8) == 255), edges.width)
     if len(xs) == 0:
         return []
@@ -382,7 +378,7 @@ def _gabor_spectra(params: tuple, image_shape: tuple) -> tuple:
 def gabor_bank(img: Image, params: list[GaborParams]) -> list[ResponseMap]:
     """Response map per bank member, reflect-padded, from one batched convolution."""
     if img.channels != 1:
-        raise NotGrayscale("gabor bank requires a gray image")
+        raise DimensionMismatch("gabor bank requires a gray image")
     if not params:
         raise EmptyDataset("bank has no parameter sets")
     arr = img.to_array()
@@ -404,7 +400,7 @@ def pca_project(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("need a matrix of at least 2 vectors")
     n, dim = data.shape
     if not 1 <= k <= dim:
-        raise OutOfRange(f"k {k} outside 1..{dim}")
+        raise OutOfRange(f"k {shown(k)} outside 1..{dim}")
     centered = data - data.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     if not cov.any():

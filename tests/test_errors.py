@@ -2,18 +2,34 @@
 
 import ast
 import inspect
+import math
 import textwrap
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import aerobot
 from aerobot import cli, errors
+from aerobot.errors import ConfigInvalid, DimensionMismatch, OutOfRange, shown
+from aerobot.raster import Image
+from aerobot.sizing import MassEntry
+from aerobot.vision import (
+    GaborParams,
+    hough_circles,
+    hough_lines,
+    mexican_hat_kernel,
+    pca_project,
+    wavelet_response,
+)
 
 SRC = Path(aerobot.__file__).parent
-# one class per kind of refusal; a number or size outside its stated bounds is OutOfRange
-FAMILY = {"AerobotError", "OutOfRange", "FileAccess", "BadMagic", "TruncatedData", "NotGrayscale",
-          "NotRGB", "DegenerateHistogram", "ZeroVariance", "DimensionMismatch", "NonBipolarPattern",
-          "NonConvergent", "EmptyDataset", "NoStripFound", "NoRuleFired", "ConfigInvalid",
-          "ParseError"}
+# one class per kind of refusal: a number or size outside its stated bounds is OutOfRange,
+# input that does not parse is ParseError, a wrong length, shape or channel count is
+# DimensionMismatch, and an input with no spread is ZeroVariance
+FAMILY = {"AerobotError", "OutOfRange", "FileAccess", "ParseError", "DimensionMismatch",
+          "ZeroVariance", "EmptyDataset", "NonBipolarPattern", "NonConvergent", "NoStripFound",
+          "NoRuleFired", "ConfigInvalid"}
 # the only raises outside the family: argparse's hook for a bad --layers value, and the
 # package __getattr__, whose AttributeError Python's attribute lookup relies on
 OUTSIDE_THE_FAMILY = {("cli.py", "argparse.ArgumentTypeError"), ("__init__.py", "AttributeError")}
@@ -131,3 +147,51 @@ def test_every_public_name_has_a_caller():
 def test_the_caller_audit_sees_constants():
     tree = ast.parse("A_B = 1\n_C = 2\nd = 3\nE: int = 4\nF, _G = 5, 6\ndef h():\n    pass\n")
     assert [name for stmt in tree.body for name in public_names(stmt)] == ["A_B", "E", "F", "h"]
+
+
+B = 10 ** 5000  # past the 4300 digits str() prints by default
+EDGES = Image(4, 4, 1, bytes([255, 0, 0, 0] * 4))
+# a call of one value, a refused value of ordinary size, the same refusal at 5000 digits,
+# and the class both get
+HUGE_INT_CALLS = {
+    "Image-width": (lambda v: Image(v, 1, 1, b""), 5, B, DimensionMismatch),
+    "Image-negative-width": (lambda v: Image(v, 1, 1, b""), -5, -B, OutOfRange),
+    "hough_lines-theta_step": (lambda v: hough_lines(EDGES, theta_step=v), 7, B, OutOfRange),
+    "hough_lines-threshold": (lambda v: hough_lines(EDGES, threshold=v), -5, -B, OutOfRange),
+    "hough_circles-r_min": (lambda v: hough_circles(EDGES, v, 3), -5, -B, OutOfRange),
+    "hough_circles-threshold": (lambda v: hough_circles(EDGES, 1, 3, threshold=v), -5, -B,
+                                OutOfRange),
+    "mexican_hat_kernel": (mexican_hat_kernel, 1000, B, OutOfRange),
+    "mexican_hat_kernel-negative": (mexican_hat_kernel, -5, -B, OutOfRange),
+    "wavelet_response": (lambda v: wavelet_response(EDGES, v), 1000, B, OutOfRange),
+    "GaborParams-wavelength": (lambda v: GaborParams(v, 0.0, 1.0), math.inf, B, ConfigInvalid),
+    "pca_project-k": (lambda v: pca_project(np.eye(3), v), 9, B, OutOfRange),
+    "MassEntry-count": (lambda v: MassEntry("x", 1e308, v), 10, B, OutOfRange),
+    "MassEntry-negative-count": (lambda v: MassEntry("x", 1.0, v), -5, -B, OutOfRange),
+    # an exact int product compared with inf let a mass past float range through
+    "MassEntry-grams": (lambda v: MassEntry("x", v, 1), math.inf, 10 ** 400, OutOfRange),
+}
+
+
+@pytest.mark.parametrize("call, small, huge, cls", HUGE_INT_CALLS.values(),
+                         ids=HUGE_INT_CALLS.keys())
+def test_a_huge_int_gets_the_refusal_an_ordinary_value_gets(call, small, huge, cls):
+    for value in (small, huge):
+        with pytest.raises(cls) as excinfo:
+            call(value)
+        assert type(excinfo.value) is cls
+        assert len(str(excinfo.value)) < 500  # the value is shown by size, not digit by digit
+
+
+def test_shown_prints_as_an_f_string_does_until_str_would_refuse():
+    for value in (0, -7, 10 ** 4299, -(10 ** 4299), 1.5, math.nan, -math.inf, np.float64(0.1),
+                  np.int64(3), True, "text"):
+        assert shown(value) == f"{value}"
+    assert shown(10 ** 4300) == "<14285-bit int>"
+    assert shown(-B) == "-<16610-bit int>"
+
+
+def test_huge_thresholds_and_radii_still_find_nothing():
+    assert hough_lines(EDGES, threshold=B) == []
+    assert hough_circles(EDGES, 1, 3, threshold=B) == []
+    assert hough_circles(EDGES, B, B) == []

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from aerobot import raster
-from aerobot.errors import (
-    BadMagic,
-    NotGrayscale,
-    OutOfRange,
-    TruncatedData,
-)
+from aerobot.errors import DimensionMismatch, OutOfRange, ParseError
 from aerobot.raster import Histogram, Image, histogram, parse_pnm, to_grayscale, write_pnm
 
 
@@ -23,6 +18,41 @@ def ascii_pnm(img: Image, maxval: int = 255) -> bytes:
     rows = (" ".join(map(str, img.samples[i:i + per_row])) for i in range(0, len(img.samples), per_row))
     magic = "P2" if img.channels == 1 else "P3"
     return f"{magic}\n{img.width} {img.height}\n{maxval}\n".encode() + "\n".join(rows).encode() + b"\n"
+
+
+# what a decoder says of a raster it refuses, as opposed to a header or a magic number
+RASTER_REFUSAL = r"^(raster has \d+ of \d+ samples|raster holds a |sample \d+ outside 0\.\.\d+$)"
+NOT_DIGIT = "raster holds a byte that is neither a digit nor whitespace"
+TOO_BIG = "raster holds a sample of 1000 or more"
+# each refused frame and what parse_pnm says of it
+BAD_HEADER_TOKENS = {
+    b"P5\n+2 1\n255\n..": "bad width token b'+2'",
+    b"P5\n1_0 1\n255\n" + bytes(10): "bad width token b'1_0'",
+    b"P5\n2 1_0\n255\n" + bytes(20): "bad height token b'1_0'",
+    b"P5\n1 1\n+255\n\x00": "bad maxval token b'+255'",
+    b"P5\n-1 1\n255\n\x00": "bad width token b'-1'",
+}
+BAD_RASTERS = {
+    b"P2\n1 1\n255\n  \n": "raster has 0 of 1 samples",  # blank: fromstring reads it as [0]
+    b"P2\n1 1\n255\n": "raster has 0 of 1 samples",  # no raster at all
+    b"P2\n2 1\n255\n3\n": "raster has 1 of 2 samples",  # short, ends in whitespace
+    b"P2\n1 1\n255\n1_0\n": NOT_DIGIT,  # partial and signed tokens
+    b"P2\n1 1\n255\n12abc\n": NOT_DIGIT,
+    b"P2\n1 1\n255\n+2\n": NOT_DIGIT,
+    b"P2\n1 1\n255\n-1\n": NOT_DIGIT,
+    b"P2\n2 1\n255\n1 2.5\n": NOT_DIGIT,
+    b"P2\n1 1\n9\n99999999999999999999\n": TOO_BIG,  # overflows, saturates
+    b"P3\n1 1\n255\n1 2\n": "raster has 2 of 3 samples",
+}
+# the raster bodies the value rule refuses, after a P2 2x1 maxval-255 header
+VALUE_RULE_REFUSALS = {
+    b"0000999 1": "sample 999 outside 0..255",
+    b"1000 1": TOO_BIG,
+    b"00001000 1": TOO_BIG,
+    b"1 99999999999999999999999": TOO_BIG,
+    b"\n\t \x0b\x0c\r": "raster has 0 of 2 samples",
+    b"# 1000 2 3\n": "raster has 0 of 2 samples",
+}
 
 
 def rescale_oracle(values, maxval: int) -> bytes:
@@ -42,7 +72,7 @@ def _oracle_next_token(data, pos):
         else:
             break
     if pos >= n:
-        raise TruncatedData("header ended early")
+        raise ParseError("header ended early")
     start = pos
     while pos < n and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
         pos += 1
@@ -54,7 +84,7 @@ def _oracle_int_token(data, pos):
     try:
         return int(tok), pos
     except ValueError:
-        raise TruncatedData(f"bad token {tok!r}") from None
+        raise ParseError(f"bad token {tok!r}") from None
 
 
 def parse_ascii_oracle(data: bytes) -> Image:
@@ -67,7 +97,7 @@ def parse_ascii_oracle(data: bytes) -> Image:
     for _ in range(width * height * channels):
         v, pos = _oracle_int_token(data, pos)
         if not 0 <= v <= maxval:
-            raise TruncatedData(f"sample {v} outside 0..{maxval}")
+            raise ParseError(f"sample {v} outside 0..{maxval}")
         values.append(v)
     return Image(width, height, channels, rescale_oracle(values, maxval))
 
@@ -99,15 +129,15 @@ def parse_fromstring_oracle(data: bytes) -> Image:
     count = width * height * channels
     body = raster._COMMENT.sub(b" ", data[pos:])
     if body.translate(None, raster._DIGITS_AND_SPACE):
-        raise TruncatedData("raster holds a byte that is neither a digit nor whitespace")
+        raise ParseError("raster holds a byte that is neither a digit nor whitespace")
     if body.isspace():  # fromstring would read whitespace-only text as [0]
         body = b""
     # overlong tokens saturate at the int64 maximum and fail the maxval check
     values = np.fromstring(body, np.int64, sep=" ")[:count]
     if len(values) < count:
-        raise TruncatedData(f"raster has {len(values)} of {count} samples")
+        raise ParseError(f"raster has {len(values)} of {count} samples")
     if int(values.max()) > maxval:
-        raise TruncatedData(f"sample {int(values.max())} outside 0..{maxval}")
+        raise ParseError(f"sample {int(values.max())} outside 0..{maxval}")
     return Image(width, height, channels, rescale_oracle(values.tolist(), maxval))
 
 
@@ -167,6 +197,29 @@ class TestFromArray:
         assert Image.from_array(np.array([[True, False]])).samples == b"\x01\x00"
 
 
+class TestImageChecks:
+    @pytest.mark.parametrize("width, height, kinds", [
+        (2.0, 1, "float and int"), (2, 1.0, "int and float"), (True, 2, "bool and int"),
+        ("2", 1, "str and int"), (np.float64(2), 1, "float64 and int")])
+    def test_sizes_must_be_integers(self, width, height, kinds):
+        # a float size built an image whose header parse_pnm refuses, "P5 2.0 1"
+        with pytest.raises(OutOfRange, match=f"^width and height must be integers, got {kinds}$"):
+            Image(width, height, 1, b"\0\0")
+
+    def test_numpy_integer_sizes_are_taken(self):
+        img = Image(np.int64(2), np.uint8(1), 1, b"\0\7")
+        assert parse_pnm(write_pnm(img)) == Image(2, 1, 1, b"\0\7")
+
+    @pytest.mark.parametrize("args, cls, message", [
+        ((0, 3, 1, b""), OutOfRange, "^width and height must be positive, got 0x3$"),
+        ((1, 1, 2, b"\0\0"), OutOfRange, "^channels must be 1 or 3, got 2$"),
+        ((2, 2, 1, b"\0"), DimensionMismatch, "^expected 4 samples, got 1$"),
+    ])
+    def test_small_sizes_keep_their_messages(self, args, cls, message):
+        with pytest.raises(cls, match=message):
+            Image(*args)
+
+
 class TestParse:
     def test_p5_binary(self):
         img = parse_pnm(b"P5\n2 1\n255\n" + bytes([0, 255]))
@@ -191,15 +244,15 @@ class TestParse:
         assert list(img.samples) == [7, 9]
 
     def test_bad_magic(self):
-        with pytest.raises(BadMagic):
+        with pytest.raises(ParseError, match=r"^unsupported magic b'P7'$"):
             parse_pnm(b"P7\n1 1\n255\n\x00")
 
     def test_truncated_raster(self):
-        with pytest.raises(TruncatedData):
+        with pytest.raises(ParseError, match="^raster has 3 of 4 samples$"):
             parse_pnm(b"P5\n2 2\n255\n" + bytes([1, 2, 3]))
 
     def test_truncated_ascii(self):
-        with pytest.raises(TruncatedData):
+        with pytest.raises(ParseError, match="^raster has 3 of 4 samples$"):
             parse_pnm(b"P2\n2 2\n255\n1 2 3\n")
 
     def test_maxval_over_255(self):
@@ -215,28 +268,37 @@ class TestParse:
             parse_pnm(b"P5\n0 3\n255\n")
 
     def test_ascii_sample_out_of_range(self):
-        with pytest.raises(TruncatedData):
+        with pytest.raises(ParseError, match=r"^sample 200 outside 0\.\.100$"):
             parse_pnm(b"P2\n1 1\n100\n200\n")
 
     def test_binary_sample_above_maxval(self):
-        with pytest.raises(TruncatedData):
+        with pytest.raises(ParseError, match=r"^sample 255 outside 0\.\.15$"):
             parse_pnm(b"P5\n1 1\n15\n\xff")
-        with pytest.raises(TruncatedData):
+        with pytest.raises(ParseError, match=r"^sample 201 outside 0\.\.200$"):
             parse_pnm(b"P6\n1 1\n200\n" + bytes([10, 201, 30]))
 
     def test_binary_sample_at_maxval(self):
         assert list(parse_pnm(b"P5\n2 1\n15\n\x00\x0f").samples) == [0, 255]
 
-    @pytest.mark.parametrize("data", [
-        b"P5\n+2 1\n255\n..",
-        b"P5\n1_0 1\n255\n" + bytes(10),
-        b"P5\n2 1_0\n255\n" + bytes(20),
-        b"P5\n1 1\n+255\n\x00",
-        b"P5\n-1 1\n255\n\x00",
-    ])
+    @pytest.mark.parametrize("data", list(BAD_HEADER_TOKENS))
     def test_header_tokens_are_plain_digits(self, data):
-        with pytest.raises(TruncatedData):
+        with pytest.raises(ParseError) as excinfo:
             parse_pnm(data)
+        assert str(excinfo.value) == BAD_HEADER_TOKENS[data]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00", "width token has 5000 digits"),
+        (b"P2\n1 " + b"0" * 4400 + b"1\n255\n7", "height token has 4401 digits"),
+        (b"P5\n1 1\n" + b"9" * 5000 + b"\n\x00", "maxval token has 5000 digits"),
+        (b"P5\n" + b"9" * 3000 + b" " + b"9" * 3000 + b"\n255\n\x00",
+         "raster has 1 of <19932-bit int> samples"),
+    ], ids=["width-5000-digits", "height-4401-digits", "maxval-5000-digits", "count-6000-digits"])
+    def test_header_ints_past_the_digit_limit_are_refused(self, data, message):
+        # int() refuses a token of more than 4300 digits and str() an int that long, each
+        # with a bare ValueError; the refusal is typed and prints a long int by its size
+        with pytest.raises(ParseError) as excinfo:
+            parse_pnm(data)
+        assert str(excinfo.value) == message
 
     def test_header_tokenizer_matches_oracle(self):
         # \x85, \xa0 and \x1c are whitespace to str.isspace() but not to bytes.isspace()
@@ -251,31 +313,21 @@ class TestParse:
             try:
                 tok, end = _oracle_next_token(data, pos)
                 expected = (int(tok), end) if tok.isdigit() else f"bad width token {tok!r}"
-            except TruncatedData as exc:
+            except ParseError as exc:
                 expected = str(exc)
             try:
                 got = raster._int_token(data, pos, "width")
-            except TruncatedData as exc:
+            except ParseError as exc:
                 got = str(exc)
             assert got == expected, (data, pos)
 
 
 class TestAsciiDecoder:
-    @pytest.mark.parametrize("data", [
-        b"P2\n1 1\n255\n  \n",             # blank: fromstring reads it as [0]
-        b"P2\n1 1\n255\n",                  # no raster at all
-        b"P2\n2 1\n255\n3\n",               # short, ends in whitespace
-        b"P2\n1 1\n255\n1_0\n",             # partial and signed tokens
-        b"P2\n1 1\n255\n12abc\n",
-        b"P2\n1 1\n255\n+2\n",
-        b"P2\n1 1\n255\n-1\n",
-        b"P2\n2 1\n255\n1 2.5\n",
-        b"P2\n1 1\n9\n99999999999999999999\n",  # overflows, saturates
-        b"P3\n1 1\n255\n1 2\n",
-    ])
+    @pytest.mark.parametrize("data", list(BAD_RASTERS))
     def test_rejects(self, data):
-        with pytest.raises(TruncatedData):
+        with pytest.raises(ParseError) as excinfo:
             parse_pnm(data)
+        assert str(excinfo.value) == BAD_RASTERS[data]
 
     def test_comments_between_samples(self):
         img = parse_pnm(b"P2\n3 1\n255\n1 # one\n2#two\r3 # three")
@@ -322,11 +374,13 @@ class TestAsciiDecoder:
     def test_an_overstated_size_allocates_by_the_text(self, header):
         tracemalloc.start()
         try:
-            with pytest.raises(TruncatedData, match="raster has 3 of"):
+            with pytest.raises(ParseError) as excinfo:
                 parse_pnm(header + b"1 2 3\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # matched outside the window: compiling the pattern can grow re's cache by kilobytes
+        excinfo.match("^raster has 3 of ")
         assert peak < 10_000
 
     def test_matches_per_token_oracle(self):
@@ -348,8 +402,8 @@ class TestAsciiDecoder:
             data = scrambled_raster(rng)
             try:
                 expected = parse_fromstring_oracle(data)
-            except TruncatedData:
-                with pytest.raises(TruncatedData):
+            except ParseError:
+                with pytest.raises(ParseError, match=RASTER_REFUSAL):
                     parse_pnm(data)
                 rejected += 1
             else:
@@ -373,9 +427,10 @@ class TestAsciiDecoder:
     def test_value_rule(self, body, samples):
         data = b"P2\n2 1\n255\n" + body
         if samples is None:
-            with pytest.raises(TruncatedData):
+            with pytest.raises(ParseError) as excinfo:
                 parse_pnm(data)
-            with pytest.raises(TruncatedData):
+            assert str(excinfo.value) == VALUE_RULE_REFUSALS[body]
+            with pytest.raises(ParseError, match=RASTER_REFUSAL):
                 parse_fromstring_oracle(data)
         else:
             assert list(parse_pnm(data).samples) == samples
@@ -389,8 +444,8 @@ class TestAsciiDecoder:
             short = data[:int(rng.integers(len(data) // 2, len(data)))]
             try:
                 expected = parse_ascii_oracle(short)
-            except TruncatedData:
-                with pytest.raises(TruncatedData):
+            except ParseError:
+                with pytest.raises(ParseError, match=RASTER_REFUSAL):
                     parse_pnm(short)
             else:
                 assert parse_pnm(short) == expected
@@ -508,7 +563,7 @@ class TestHistogram:
 
     def test_rejects_rgb(self):
         img = Image(1, 1, 3, bytes([1, 2, 3]))
-        with pytest.raises(NotGrayscale):
+        with pytest.raises(DimensionMismatch, match="^histogram requires a gray image$"):
             histogram(img)
 
     def test_needs_256_bins(self):

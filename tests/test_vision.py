@@ -17,10 +17,8 @@ import aerobot
 from aerobot import vision
 from aerobot.errors import (
     ConfigInvalid,
-    DegenerateHistogram,
+    DimensionMismatch,
     EmptyDataset,
-    NotGrayscale,
-    NotRGB,
     OutOfRange,
     ZeroVariance,
 )
@@ -88,7 +86,7 @@ class TestOtsu:
         assert otsu_threshold(h) == 50
 
     def test_degenerate_single_bin(self):
-        with pytest.raises(DegenerateHistogram,
+        with pytest.raises(ZeroVariance,
                            match="^all mass in bin 7; between-class variance is 0 everywhere$"):
             otsu_threshold(spikes(v7=42))
 
@@ -129,7 +127,8 @@ class TestOtsu:
             with pytest.raises(ValueError):
                 otsu_threshold(hist)
         elif populated == 1:
-            with pytest.raises(DegenerateHistogram):
+            level = next(v for v, b in enumerate(bins) if b)
+            with pytest.raises(ZeroVariance, match=f"^all mass in bin {level}; "):
                 otsu_threshold(hist)
         else:
             assert otsu_threshold(hist) == otsu_oracle(bins)
@@ -183,7 +182,7 @@ class TestGreenDensity:
         assert green_density(Image.from_array(np.hstack([green, green]))).fraction == 1.0
 
     def test_rejects_gray(self):
-        with pytest.raises(NotRGB):
+        with pytest.raises(DimensionMismatch, match="^green density requires an RGB image$"):
             green_density(gray([[1]]))
 
     @pytest.mark.parametrize("threshold", [-511, -510, -1, 0, 20, 509, 510, 10**6])
@@ -367,8 +366,18 @@ class TestWaveletResponse:
         assert np.allclose(flipped.values, resp.values[::-1], atol=1e-9)
 
     def test_rejects_rgb(self):
-        with pytest.raises(NotGrayscale):
+        with pytest.raises(DimensionMismatch, match="^wavelet response requires a gray image$"):
             wavelet_response(Image(1, 1, 3, bytes(3)), 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (hough_lines, "edge image must be gray"),
+    (lambda img: hough_circles(img, 1, 2), "edge image must be gray"),
+    (lambda img: gabor_bank(img, default_gabor_bank()), "gabor bank requires a gray image"),
+], ids=["hough_lines", "hough_circles", "gabor_bank"])
+def test_gray_only_calls_refuse_rgb_as_a_channel_count_mismatch(call, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        call(Image(2, 2, 3, bytes(12)))
 
 
 # Hough ----------------------------------------------------------------------
